@@ -119,6 +119,13 @@ def _bernoulli_positions(
     engine's fault stream, so the regime switch changes the RNG stream
     at ``p >= DENSE_PROBABILITY`` — the frozen digests all sit in the
     sparse regime.
+
+    The sparse regime turns each gap batch into positions in place
+    (one buffer per batch, no ``last + cumsum`` or boolean-mask
+    temporaries) and trims the final batch with a ``searchsorted``
+    slice, which the strictly increasing positions make exact.  The
+    returned array may therefore be a view into a slightly longer
+    batch buffer.
     """
     if trials == 0 or probability <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -135,10 +142,11 @@ def _bernoulli_positions(
     chunks = []
     last = -1
     while True:
-        gaps = rng.geometric(probability, size=batch)
-        positions = last + np.cumsum(gaps)
+        positions = rng.geometric(probability, size=batch)
+        np.cumsum(positions, out=positions)
+        positions += last
         if positions[-1] >= trials:
-            chunks.append(positions[positions < trials])
+            chunks.append(positions[: np.searchsorted(positions, trials)])
             break
         chunks.append(positions)
         last = int(positions[-1])

@@ -41,6 +41,7 @@ import atexit
 import json
 import os
 import sys
+import threading
 import time
 
 from repro.errors import ConfigError
@@ -173,32 +174,49 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Collects the span tree for one process."""
+    """Collects the span tree for one process.
+
+    The open-span stack is per thread: a span nests under the innermost
+    open span of the thread that opened it, and a span opened on a
+    thread with no open span becomes a root.  Worker threads therefore
+    never re-parent (or corrupt) the main thread's tree.
+    """
 
     def __init__(self, sink: str) -> None:
         self.sink = sink
         self.pid = os.getpid()
         self.origin_ns = clock_ns()
         self.roots: list[Span] = []
-        self.stack: list[Span] = []
+        self._local = threading.local()
+
+    @property
+    def stack(self) -> list[Span]:
+        """The calling thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = []
+            return self._local.stack
 
     def _close(self, span: Span) -> None:
         # Defensive against mismatched nesting (an abandoned span on an
         # exception path): closing a span pops it wherever it sits.
-        if self.stack and self.stack[-1] is span:
-            self.stack.pop()
-        elif span in self.stack:
-            self.stack.remove(span)
-        if self.stack:
-            self.stack[-1].children.append(span)
+        stack = self.stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:
+            stack.remove(span)
+        if stack:
+            stack[-1].children.append(span)
         else:
             self.roots.append(span)
 
     def document(self) -> dict:
         """The versioned trace document for everything collected so far.
 
-        Spans still open are serialised with their running duration so
-        an atexit flush during a crash still shows where time went.
+        Spans still open on the calling thread are serialised with
+        their running duration so an atexit flush during a crash still
+        shows where time went.
         """
         now = clock_ns()
         open_spans = []

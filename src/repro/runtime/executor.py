@@ -27,12 +27,33 @@ spec, in spec order.  The execution plan has three levels:
    spec alone through :class:`~repro.noise.monte_carlo.NoisyRunner`.
    Batching is purely an execution detail, never a statistical one.
 
-3. **Process pool (across groups only).**  With
-   ``policy.parallel`` >= 2 workers and more than one group, whole
-   groups fan out to a :mod:`concurrent.futures` pool (specs must then
-   be picklable).  Points within a group never split across processes
-   — they are already batched into one array, which is the cheaper
-   kind of parallelism.
+3. **Parallelism: processes across groups, threads across draws —
+   never both.**  With ``policy.parallel`` >= 2 workers and more than
+   one group, whole groups fan out to a :mod:`concurrent.futures`
+   process pool (specs must then be picklable); the job runner fans
+   shards out the same way.  Points within a group never split across
+   processes — they are already batched into one array.  Inside a
+   group, the fault-draw phase is the one per-point stage, and in the
+   dense-fault regime near the pseudo-threshold it dominates the wall
+   time; each point draws from its own generator, so the per-point
+   draws run on a short-lived thread pool (one per CPU, at most one
+   per point) and stay bit-identical by construction.  The pool is
+   opened per group and joined before the slot loop, so no thread
+   outlives the draw (a later fork never copies a live pool).  The
+   draws stay serial inside a multiprocessing child (one level of
+   parallelism: the processes already occupy the CPUs), for one-point
+   groups, and below :data:`THREADED_DRAW_MIN_SITES` expected fault
+   sites, where starting a pool (~0.6 ms) costs more than it saves.
+
+   Each point holds its resolved sites until the slot loop consumes
+   them: int32 ``(op_of, word_of)`` pairs, a packed select word and
+   ``arity`` replacement words per segment — 40 bytes per segment at
+   arity 3, where the former precomputed int64 ``arity x segments``
+   scatter indices held 56.  The slot loop builds each slot group's
+   scatter indices from the plan's wire table instead.  The
+   replacement words stay ONE eager flat draw per point, made on the
+   draw thread: drawing them lazily per slot group would move that RNG
+   work into the serial slot loop (measured 15-20% slower there).
 
 Batched-engine groups and unfused execution (``policy.fuse=False``,
 which must preserve the pre-fusion per-op RNG stream) evaluate point
@@ -41,9 +62,10 @@ by point through ``NoisyRunner`` — same results, no stacking.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -79,6 +101,16 @@ _LEGACY_POINTS = counter("executor.legacy_points")
 #: this table turns a bit-position vector into select words without the
 #: int64 -> uint64 ``astype`` copy a vectorised shift would need.
 _POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+#: Expected fault sites per group (the sum of ``ops * padded trials *
+#: p`` over its points and error classes) below which the draw phase
+#: stays serial.  Starting and joining a thread pool costs ~0.6-1 ms
+#: and every extra point adds a task hand-off, so the serial/threaded
+#: crossover rises with the group's width: measured (median of 31
+#: alternating draws of the 1-cycle recovery circuit, 2-vCPU Xeon VM)
+#: near 30k sites for 2 points, 60k for 4 and 90k for 10.  The cutoff
+#: sits above all three, so a threaded draw always wins.
+THREADED_DRAW_MIN_SITES = 100_000
 
 
 def resolve_workers(parallel: int | bool | None, points: int) -> int:
@@ -262,17 +294,18 @@ class _StackPlan:
 class _PointSites:
     """One point's fully resolved fault sites and replacement words.
 
-    On the combined fast path ``sites`` is ``(indices, select,
-    prefix)`` — flat plane indices, packed selects, and the per-cell
-    prefix over the merged-class cell axis.  On the
-    general path ``classes[is_reset]`` is ``(rows, word_of, select,
-    prefix)`` for the per-slot ``randomize_stacked`` gather.  Either
-    way the sites are sorted by (class-slot, group) cell and ``prefix``
-    (plain ints) slices each cell's run.  ``block``/``block_bounds``
-    hold the point's ONE flat replacement-word draw, sliced per global
-    cell in slot order — NumPy integer draws are stream-consistent
-    under splitting, so this single draw consumes the generator exactly
-    like the solo engine's per-slot-per-group blocks.
+    On the combined fast path ``sites`` is ``(op_of, word_of, select,
+    prefix)`` over the merged-class virtual op axis; on the general
+    path ``classes[is_reset]`` is the same tuple over that class's op
+    axis.  ``op_of`` (an op index) and ``word_of`` (the stacked plane
+    word) are int32; the slot loop maps them to scatter indices through
+    the plan's tables one slot group at a time.  Either way the sites
+    are sorted by (class-slot, group) cell and ``prefix`` (plain ints)
+    slices each cell's run.  ``block``/``block_bounds`` hold the
+    point's ONE flat replacement-word draw, sliced per global cell in
+    slot order — NumPy integer draws are stream-consistent under
+    splitting, so this single draw consumes the generator exactly like
+    the solo engine's per-slot-per-group blocks.
     """
 
     __slots__ = ("sites", "classes", "block", "block_bounds")
@@ -295,28 +328,52 @@ def _segment_sites(virtual, n_words, trials):
     difference) — same values as the solo engine's
     ``bitwise_or.reduceat``, ~3x cheaper at the threshold-regime site
     counts this path batches.  Padding bits beyond ``trials`` are
-    masked off.  Returns ``(op_of, word_of, select, fault_plane)``
-    with ``fault_plane`` the packed union of the faulted trials
-    (point-local words, padding already clear), so the caller never
-    materialises a per-trial array.
+    masked off.  ``virtual`` is consumed: it is shifted in place into
+    the flat word index, and the bit and cumulative-sum passes share
+    one buffer.  Returns ``(op_of, word_of, select, fault_plane)``
+    with int32 ``op_of``/``word_of`` and ``fault_plane`` the packed
+    union of the faulted trials (point-local words, padding already
+    clear), so the caller never materialises a per-trial array.
     """
-    flat_words = virtual >> 6
-    bits = _POW2[virtual & 63]
+    bits = _POW2.take(virtual & 63)
+    flat_words = np.right_shift(virtual, 6, out=virtual)
     boundary = np.flatnonzero(flat_words[1:] != flat_words[:-1])
-    segment_starts = np.concatenate(([0], boundary + 1))
-    summed = np.cumsum(bits, dtype=np.uint64)
+    summed = np.cumsum(bits, out=bits)
+    # A segment's last site carries both its cumulative sum and its
+    # flat word, so one index vector serves both gathers.
     last = np.concatenate((summed[boundary], summed[-1:]))
+    affected = np.concatenate((flat_words[boundary], flat_words[-1:]))
     select = np.empty_like(last)
     select[0] = last[0]
     np.subtract(last[1:], last[:-1], out=select[1:])
-    affected = flat_words[segment_starts]
     op_of = affected // n_words
-    word_of = affected - op_of * n_words
+    affected -= op_of * n_words
+    op_of = op_of.astype(np.int32)
+    word_of = affected.astype(np.int32)
     if trials % 64:
         select[word_of == n_words - 1] &= np.uint64((1 << (trials % 64)) - 1)
     fault_plane = np.zeros(n_words, dtype=np.uint64)
     np.bitwise_or.at(fault_plane, word_of, select)
     return op_of, word_of, select, fault_plane
+
+
+def _sort_by_cell(op_cell, monotone, bins, op_of, word_of, select):
+    """Order one point's sites by cell; returns them with the prefix.
+
+    Multi-group slots interleave their groups' sites; a stable sort
+    makes every cell's run contiguous without reordering sites within
+    a group (the solo scatter order).  ``op_of`` is sorted, so a
+    monotone op -> cell map needs no sort at all.  The sorted cell
+    array searchsorted against ``bins`` is the per-cell prefix.
+    """
+    cell = op_cell[op_of]
+    if not monotone:
+        order = np.argsort(cell, kind="stable")
+        op_of = op_of[order]
+        word_of = word_of[order]
+        select = select[order]
+        cell = cell[order]
+    return op_of, word_of, select, np.searchsorted(cell, bins)
 
 
 def _point_sites_combined(
@@ -327,7 +384,6 @@ def _point_sites_combined(
     n_words: int,
     trials: int,
     word_offset: int,
-    plane_stride: int,
 ) -> tuple | None:
     """Draw and fully resolve BOTH error classes' faults for one point.
 
@@ -335,15 +391,13 @@ def _point_sites_combined(
     (gate class, then reset class — the RNG stream contract), but the
     bookkeeping runs ONCE over the merged virtual axis (gate ops
     followed by reset ops, so the concatenated positions stay sorted):
-    one segmentation, one fault plane, one per-cell prefix, and one
-    flat scatter-index build through the plan's merged wire table.
-    Returns ``(indices, select, prefix, fault_plane)`` or
-    ``None`` when nothing was drawn; ``indices`` addresses the flat
-    plane buffer of the whole stacked array, so the slot loop scatters
-    with a bare take/put per slot group.
+    one segmentation, one fault plane and one per-cell prefix.
+    Returns ``(op_of, word_of, select, prefix, fault_plane)`` or
+    ``None`` when nothing was drawn; ``op_of`` indexes the merged op
+    axis and ``word_of`` the stacked plane's words.
     """
     padded = n_words * 64
-    op_cell, op_wires, bins, _, monotone, op_offset, _ = plan.combined
+    op_cell, _, bins, _, monotone, op_offset, _ = plan.combined
     chunks = []
     for is_reset, count in (
         (False, compiled.n_gate_ops),
@@ -360,29 +414,20 @@ def _point_sites_combined(
         if not virtual.size:
             continue
         base = op_offset[is_reset] * padded
-        chunks.append(virtual + base if base else virtual)
+        if base:
+            virtual += base
+        chunks.append(virtual)
     if not chunks:
         return None
     virtual = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     op_of, word_of, select, fault_plane = _segment_sites(
         virtual, n_words, trials
     )
-    if word_offset:
-        word_of = word_of + word_offset
-    cell = op_cell[op_of]
-    if not monotone:
-        # Multi-group slots interleave their groups' sites; a stable
-        # sort makes every cell's run contiguous without reordering
-        # sites within a group (the solo scatter order).  ``op_of`` is
-        # sorted, so a monotone op -> cell map needs no sort at all.
-        order = np.argsort(cell, kind="stable")
-        op_of = op_of[order]
-        word_of = word_of[order]
-        select = select[order]
-        cell = cell[order]
-    prefix = np.searchsorted(cell, bins)
-    indices = op_wires[:, op_of] * plane_stride + word_of
-    return indices, select, prefix, fault_plane
+    word_of += word_offset
+    return (
+        *_sort_by_cell(op_cell, monotone, bins, op_of, word_of, select),
+        fault_plane,
+    )
 
 
 def _point_class_sites(
@@ -400,102 +445,136 @@ def _point_class_sites(
     The general (mixed-arity) counterpart of
     :func:`_point_sites_combined`: one gap-jumping pass over the
     class's ``ops x (n_words * 64)`` virtual axis (exactly the
-    single-point engine's draw), one segmentation, and sites annotated
-    with their wire-matrix row for the per-slot
-    ``randomize_stacked`` gather.  Returns ``(rows, word_of, select,
-    prefix, fault_plane)`` or ``None`` when the class draws nothing.
+    single-point engine's draw) and one segmentation.  Returns
+    ``(op_of, word_of, select, prefix, fault_plane)`` over the class's
+    op axis, or ``None`` when the class draws nothing.
     """
     padded = n_words * 64
     virtual = _bernoulli_positions(rng, error, ops * padded)
     if not virtual.size:
         return None
-    op_cell, op_row, bins, monotone = plan.tables[is_reset]
+    op_cell, _, bins, monotone = plan.tables[is_reset]
     op_of, word_of, select, fault_plane = _segment_sites(
         virtual, n_words, trials
     )
-    if word_offset:
-        word_of = word_of + word_offset
-    cell = op_cell[op_of]
-    if not monotone:
-        order = np.argsort(cell, kind="stable")
-        op_of = op_of[order]
-        word_of = word_of[order]
-        select = select[order]
-        cell = cell[order]
-    prefix = np.searchsorted(cell, bins)
-    return op_row[op_of], word_of, select, prefix, fault_plane
+    word_of += word_offset
+    return (
+        *_sort_by_cell(op_cell, monotone, bins, op_of, word_of, select),
+        fault_plane,
+    )
 
 
-def _draw_phase(specs, compiled, plan, words, offsets, total_words, rngs):
-    """Fault-draw phase — per point: one gap-jumping draw per error
-    class (solo order: gate class, then reset class), the bookkeeping
-    merged into one pass on the combined fast path, then ONE flat
-    replacement-word draw covering every cell the point will inject.
-    Returns the resolved per-point sites, the per-point faulted-trial
-    counts, and the per-class active-point index lists.
+def _draw_width(specs, compiled, words) -> int:
+    """Draw-phase threads for one group: 0 keeps the draws serial.
+
+    Serial inside a multiprocessing child (the processes already hold
+    the CPUs), for one-point groups, and when the group's expected
+    fault-site count is below :data:`THREADED_DRAW_MIN_SITES`;
+    otherwise one thread per CPU, at most one per point.
     """
-    max_groups = plan.max_groups
-    points: list[_PointSites] = []
-    faulted: list[int] = []
-    n_cells = len(compiled.slots) * max_groups
-    combined = plan.combined
-    for p, spec in enumerate(specs):
-        point = _PointSites()
-        hit_plane = None
-        cell_sites = np.zeros(n_cells, dtype=np.int64)
-        if combined is not None:
-            drawn = _point_sites_combined(
-                rngs[p], spec, compiled, plan,
-                words[p], spec.trials, offsets[p], total_words,
+    if len(specs) < 2 or multiprocessing.parent_process() is not None:
+        return 0
+    expected = sum(
+        n_words * 64 * (
+            compiled.n_gate_ops * spec.noise.gate_error
+            + compiled.n_reset_ops * spec.noise.effective_reset_error
+        )
+        for spec, n_words in zip(specs, words)
+    )
+    if expected < THREADED_DRAW_MIN_SITES:
+        return 0
+    return resolve_workers(True, len(specs))
+
+
+def _draw_point(spec, rng, n_words, word_offset, compiled, plan):
+    """One point's whole draw: its fault sites per error class (solo
+    order: gate class, then reset class), the bookkeeping merged into
+    one pass on the combined fast path, then ONE flat replacement-word
+    draw covering every cell the point will inject.  Touches nothing
+    but its own generator and fresh arrays, so points may draw on
+    concurrent threads; returns the point's sites and faulted-trial
+    count.
+    """
+    point = _PointSites()
+    hit_plane = None
+    cell_sites = np.zeros(len(plan.arity_flat), dtype=np.int64)
+    if plan.combined is not None:
+        drawn = _point_sites_combined(
+            rng, spec, compiled, plan, n_words, spec.trials, word_offset
+        )
+        if drawn is not None:
+            *sites, hit_plane = drawn
+            prefix = sites[3]
+            point.sites = (*sites[:3], prefix.tolist())
+            cell_sites[plan.combined[3]] = np.diff(prefix)
+    else:
+        for is_reset, count in (
+            (False, compiled.n_gate_ops),
+            (True, compiled.n_reset_ops),
+        ):
+            error = (
+                spec.noise.effective_reset_error
+                if is_reset
+                else spec.noise.gate_error
             )
-            if drawn is not None:
-                indices, select, prefix, hit_plane = drawn
-                point.sites = (indices, select, prefix.tolist())
-                cell_sites[combined[3]] = np.diff(prefix)
-        else:
-            for is_reset, count in (
-                (False, compiled.n_gate_ops),
-                (True, compiled.n_reset_ops),
-            ):
-                error = (
-                    spec.noise.effective_reset_error
-                    if is_reset
-                    else spec.noise.gate_error
-                )
-                if error <= 0.0 or count == 0 or is_reset not in plan.tables:
-                    continue
-                drawn = _point_class_sites(
-                    rngs[p], error, count,
-                    words[p], spec.trials, offsets[p], plan, is_reset,
-                )
-                if drawn is None:
-                    continue
-                rows, word_of, select, prefix, fault_plane = drawn
-                if hit_plane is None:
-                    hit_plane = fault_plane
-                else:
-                    hit_plane |= fault_plane
-                point.classes[is_reset] = (
-                    rows, word_of, select, prefix.tolist()
-                )
-                cell_sites[plan.cells[is_reset]] = np.diff(prefix)
-        if point.sites is not None or point.classes:
-            bounds = [0]
-            for value in (cell_sites * plan.arity_flat).tolist():
-                bounds.append(bounds[-1] + value)
-            point.block_bounds = bounds
-            point.block = rngs[p].integers(
-                0, 2**64, size=bounds[-1], dtype=np.uint64
+            if error <= 0.0 or count == 0 or is_reset not in plan.tables:
+                continue
+            drawn = _point_class_sites(
+                rng, error, count, n_words, spec.trials, word_offset,
+                plan, is_reset,
             )
-        points.append(point)
-        faulted.append(0 if hit_plane is None else popcount_words(hit_plane))
-    if combined is not None:
-        active = [p for p in range(len(specs)) if points[p].sites is not None]
+            if drawn is None:
+                continue
+            *sites, fault_plane = drawn
+            if hit_plane is None:
+                hit_plane = fault_plane
+            else:
+                hit_plane |= fault_plane
+            prefix = sites[3]
+            point.classes[is_reset] = (*sites[:3], prefix.tolist())
+            cell_sites[plan.cells[is_reset]] = np.diff(prefix)
+    if hit_plane is None:
+        return point, 0
+    bounds = [0]
+    for value in (cell_sites * plan.arity_flat).tolist():
+        bounds.append(bounds[-1] + value)
+    point.block_bounds = bounds
+    point.block = rng.integers(0, 2**64, size=bounds[-1], dtype=np.uint64)
+    return point, popcount_words(hit_plane)
+
+
+def _segment_count(points) -> int:
+    """Fault-site segments the draw phase resolved, over all points."""
+    return sum(
+        len(sites[2])
+        for point in points
+        for sites in (point.sites, *point.classes.values())
+        if sites is not None
+    )
+
+
+def _draw_phase(specs, compiled, plan, words, offsets, rngs, width):
+    """Fault-draw phase — every point's :func:`_draw_point`, on
+    ``width`` threads (0 = serial, see :func:`_draw_width`).  Returns
+    the resolved per-point sites, the per-point faulted-trial counts,
+    and the per-class active-point index lists.
+    """
+    draw = partial(_draw_point, compiled=compiled, plan=plan)
+    arguments = (specs, rngs, words, offsets)
+    if width:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            drawn = list(pool.map(draw, *arguments))
+    else:
+        drawn = list(map(draw, *arguments))
+    points = [point for point, _ in drawn]
+    faulted = [count for _, count in drawn]
+    if plan.combined is not None:
+        active = [p for p, point in enumerate(points) if point.sites is not None]
         points_with = {False: active, True: active}
     else:
         points_with = {
             is_reset: [
-                p for p in range(len(specs)) if is_reset in points[p].classes
+                p for p, point in enumerate(points) if is_reset in point.classes
             ]
             for is_reset in (False, True)
         }
@@ -507,14 +586,17 @@ def _inject_phase(
 ):
     """Slot-loop phase — one stacked apply per program group, pure
     slicing of each point's precomputed sites and word block, and one
-    scatter per group for all points together.  The combined fast path
+    scatter per group for all points together.  Each slot group's
+    scatter indices are built here from the points' int32 ``(op_of,
+    word_of)`` sites: the combined fast path gathers them from the
+    merged wire table, scaled to flat plane offsets once per call, and
     scatters through a bare take/put on the flat plane buffer;
-    mixed-arity circuits go through ``randomize_stacked``'s per-call
-    wire gather.  The reshape MUST alias the planes (a non-contiguous
-    array would silently reshape into a copy and every put would write
-    to a dead buffer); broadcast allocates contiguous, and this fails
-    loudly — not via assert, which -O strips — if that invariant is
-    ever broken.
+    mixed-arity circuits map ``op_of`` to wire-matrix rows and go
+    through ``randomize_stacked``'s per-call wire gather.  The reshape
+    MUST alias the planes (a non-contiguous array would silently
+    reshape into a copy and every put would write to a dead buffer);
+    broadcast allocates contiguous, and this fails loudly — not via
+    assert, which -O strips — if that invariant is ever broken.
     """
     max_groups = plan.max_groups
     combined = plan.combined
@@ -524,7 +606,9 @@ def _inject_phase(
             "scatter view would silently become a copy"
         )
     flat_planes = states.planes.reshape(-1)
-    cell_offset = combined[6] if combined is not None else None
+    if combined is not None:
+        scaled_wires = combined[1] * states.planes.shape[1]
+        cell_offset = combined[6]
     class_slot_index = {False: 0, True: 0}
     for si, slot in enumerate(compiled.slots):
         prepared.apply_slot(states, si)
@@ -541,7 +625,7 @@ def _inject_phase(
                 parts = []
                 for p in active:
                     point = points[p]
-                    indices, select, prefix = point.sites
+                    op_of, word_of, select, prefix = point.sites
                     start = prefix[cell]
                     stop = prefix[cell + 1]
                     if stop <= start:
@@ -550,32 +634,31 @@ def _inject_phase(
                     b1 = point.block_bounds[global_base + index + 1]
                     parts.append(
                         (
-                            indices[:, start:stop],
+                            op_of[start:stop],
+                            word_of[start:stop],
                             select[start:stop],
                             point.block[b0:b1].reshape(-1, stop - start),
                         )
                     )
                 if not parts:
                     continue
-                if len(parts) == 1:
-                    indices, select, blocks = parts[0]
-                else:
-                    indices = np.concatenate([p[0] for p in parts], axis=1)
-                    select = np.concatenate([p[1] for p in parts])
-                    blocks = np.concatenate([p[2] for p in parts], axis=1)
+                op_of, word_of, select, blocks = _concatenate_parts(parts)
+                indices = scaled_wires.take(op_of, axis=1)
+                indices += word_of
                 current = flat_planes.take(indices)
                 # c ^ ((c ^ b) & s) == (b & s) | (c & ~s), one pass less.
                 flat_planes.put(
                     indices, current ^ ((current ^ blocks) & select)
                 )
             continue
+        op_row = plan.tables[slot.is_reset][1]
         class_base = slot_c * max_groups
         gathered: list[list[tuple[np.ndarray, ...]]] = [
             [] for _ in slot.groups
         ]
         for p in active:
             point = points[p]
-            rows, word_of, select, prefix = point.classes[slot.is_reset]
+            op_of, word_of, select, prefix = point.classes[slot.is_reset]
             bounds = point.block_bounds
             block = point.block
             for index in range(len(slot.groups)):
@@ -587,7 +670,7 @@ def _inject_phase(
                 b1 = bounds[global_base + index + 1]
                 gathered[index].append(
                     (
-                        rows[start:stop],
+                        op_of[start:stop],
                         word_of[start:stop],
                         select[start:stop],
                         block[b0:b1].reshape(-1, stop - start),
@@ -597,16 +680,28 @@ def _inject_phase(
             parts = gathered[index]
             if not parts:
                 continue
-            if len(parts) == 1:
-                rows, word_of, select, blocks = parts[0]
-            else:
-                rows = np.concatenate([part[0] for part in parts])
-                word_of = np.concatenate([part[1] for part in parts])
-                select = np.concatenate([part[2] for part in parts])
-                blocks = np.concatenate([part[3] for part in parts], axis=1)
+            op_of, word_of, select, blocks = _concatenate_parts(parts)
             backend.randomize_stacked(
-                states, group.wire_matrix, None, rows, word_of, select, blocks
+                states,
+                group.wire_matrix,
+                None,
+                op_row.take(op_of),
+                word_of,
+                select,
+                blocks,
             )
+
+
+def _concatenate_parts(parts):
+    """Join per-point ``(op_of, word_of, select, blocks)`` slices."""
+    if len(parts) == 1:
+        return parts[0]
+    return (
+        np.concatenate([part[0] for part in parts]),
+        np.concatenate([part[1] for part in parts]),
+        np.concatenate([part[2] for part in parts]),
+        np.concatenate([part[3] for part in parts], axis=1),
+    )
 
 
 def _decode_phase(specs, states, words, offsets, faulted):
@@ -706,10 +801,12 @@ def _run_group_stacked(
     ):
         states = backend.broadcast(first.input_bits, total_words * 64)
         rngs = [_as_generator(spec.seed) for spec in specs]
-        with trace("executor.group.draw"):
+        width = _draw_width(specs, compiled, words)
+        with trace("executor.group.draw") as span:
             points, faulted, points_with = _draw_phase(
-                specs, compiled, plan, words, offsets, total_words, rngs
+                specs, compiled, plan, words, offsets, rngs, width
             )
+            span.set(threads=width, segments=_segment_count(points))
         with trace("executor.group.apply"):
             _inject_phase(
                 backend, prepared, states, compiled, plan, points, points_with

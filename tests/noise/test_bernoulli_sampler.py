@@ -44,6 +44,71 @@ class TestContract:
         assert positions.size == pytest.approx(0.05 * 200_000, rel=0.05)
 
 
+def _mask_formula(rng, probability, trials):
+    """The sparse sampler as first written: ``last + cumsum(gaps)`` per
+    batch and a boolean mask to trim the final one.  The in-place
+    rewrite must consume the generator and return positions exactly
+    like this."""
+    expected = trials * probability
+    batch = int(expected + 4.0 * expected**0.5 + 16.0)
+    chunks = []
+    last = -1
+    while True:
+        gaps = rng.geometric(probability, size=batch)
+        positions = last + np.cumsum(gaps)
+        if positions[-1] >= trials:
+            chunks.append(positions[positions < trials])
+            break
+        chunks.append(positions)
+        last = int(positions[-1])
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+
+
+class _ShortGaps:
+    """A generator stand-in whose geometric gaps are drawn at a much
+    higher success probability than requested, so the sampler's
+    first gap batch (sized for the requested one) falls far short of
+    ``trials`` and must be refilled several times."""
+
+    def __init__(self, seed, factor):
+        self.rng = np.random.default_rng(seed)
+        self.factor = factor
+        self.batches = 0
+
+    def geometric(self, probability, size):
+        self.batches += 1
+        return self.rng.geometric(min(1.0, probability * self.factor), size)
+
+
+class TestSparseRewriteEqualsMaskFormula:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+    @pytest.mark.parametrize(
+        "probability, trials",
+        [(1e-4, 1_000_000), (0.003, 10_000), (0.01, 64), (0.05, 150_001),
+         (0.2, 5000), (0.5, 1)],
+    )
+    def test_real_generator(self, seed, probability, trials):
+        new = _bernoulli_positions(
+            np.random.default_rng(seed), probability, trials, dense=False
+        )
+        old = _mask_formula(np.random.default_rng(seed), probability, trials)
+        np.testing.assert_array_equal(new, old)
+        assert new.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [3, 11, 99])
+    @pytest.mark.parametrize("probability, trials", [(0.001, 50_000), (0.02, 4000)])
+    def test_batches_needing_several_refills(self, seed, probability, trials):
+        new_rng = _ShortGaps(seed, factor=8)
+        new = _bernoulli_positions(new_rng, probability, trials, dense=False)
+        old_rng = _ShortGaps(seed, factor=8)
+        old = _mask_formula(old_rng, probability, trials)
+        assert new_rng.batches >= 3
+        assert new_rng.batches == old_rng.batches
+        np.testing.assert_array_equal(new, old)
+        assert (np.diff(new) > 0).all()  # sorted, no duplicates
+        assert 0 <= new[0] and new[-1] < trials
+
+
 class TestRegimeSelection:
     def test_threshold_switches_regime_stream(self):
         # At p >= DENSE_PROBABILITY the default draw must consume the

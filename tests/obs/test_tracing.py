@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,46 @@ class TestEnabled:
         assert destination == str(tmp_path / "second.json")
         document = json.loads(Path(destination).read_text())
         assert [s["name"] for s in document["spans"]] == ["kept.span"]
+
+    def test_threads_keep_their_own_span_stacks(self, tmp_path):
+        # Two threads open nested spans concurrently while the main
+        # thread holds a span open: each thread's spans must nest only
+        # under that thread's own spans, and a thread with no open span
+        # starts a root instead of adopting the main thread's span.
+        enable_tracing(str(tmp_path / "trace.json"))
+        both_open = threading.Barrier(2, timeout=30)
+
+        def worker(tag):
+            with trace(f"worker.{tag}"):
+                with trace(f"worker.{tag}.mid"):
+                    both_open.wait()
+                    with trace(f"worker.{tag}.leaf"):
+                        pass
+
+        with trace("main.span"):
+            threads = [
+                threading.Thread(target=worker, args=(tag,))
+                for tag in ("a", "b")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            with trace("main.child"):
+                pass
+        document = json.loads(Path(flush_trace()).read_text())
+        assert validate_trace(document) == []
+        roots = {s["name"]: s for s in document["spans"]}
+        assert set(roots) == {"main.span", "worker.a", "worker.b"}
+        assert [c["name"] for c in roots["main.span"]["children"]] == [
+            "main.child"
+        ]
+        for tag in ("a", "b"):
+            (mid,) = roots[f"worker.{tag}"]["children"]
+            assert mid["name"] == f"worker.{tag}.mid"
+            assert [c["name"] for c in mid["children"]] == [
+                f"worker.{tag}.leaf"
+            ]
 
     def test_non_scalar_attrs_coerced(self, tmp_path):
         enable_tracing(str(tmp_path / "trace.json"))
