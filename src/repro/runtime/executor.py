@@ -42,8 +42,9 @@ spec, in spec order.  The execution plan has three levels:
    outlives the draw (a later fork never copies a live pool).  The
    draws stay serial inside a multiprocessing child (one level of
    parallelism: the processes already occupy the CPUs), for one-point
-   groups, and below :data:`THREADED_DRAW_MIN_SITES` expected fault
-   sites, where starting a pool (~0.6 ms) costs more than it saves.
+   groups, for points sharing one generator object, and below
+   :data:`THREADED_DRAW_MIN_SITES` expected fault sites, where starting
+   a pool (~0.6 ms) costs more than it saves.
 
    Each point holds its resolved sites until the slot loop consumes
    them: int32 ``(op_of, word_of)`` pairs, a packed select word and
@@ -464,15 +465,20 @@ def _point_class_sites(
     )
 
 
-def _draw_width(specs, compiled, words) -> int:
+def _draw_width(specs, compiled, words, rngs) -> int:
     """Draw-phase threads for one group: 0 keeps the draws serial.
 
     Serial inside a multiprocessing child (the processes already hold
     the CPUs), for one-point groups, and when the group's expected
     fault-site count is below :data:`THREADED_DRAW_MIN_SITES`;
-    otherwise one thread per CPU, at most one per point.
+    otherwise one thread per CPU, at most one per point.  Points that
+    share one bit generator (specs seeded with the same
+    ``np.random.Generator``) also stay serial: their draws consume a
+    common stream, so only the serial point order is reproducible.
     """
     if len(specs) < 2 or multiprocessing.parent_process() is not None:
+        return 0
+    if len({id(rng.bit_generator) for rng in rngs}) < len(rngs):
         return 0
     expected = sum(
         n_words * 64 * (
@@ -801,7 +807,7 @@ def _run_group_stacked(
     ):
         states = backend.broadcast(first.input_bits, total_words * 64)
         rngs = [_as_generator(spec.seed) for spec in specs]
-        width = _draw_width(specs, compiled, words)
+        width = _draw_width(specs, compiled, words, rngs)
         with trace("executor.group.draw") as span:
             points, faulted, points_with = _draw_phase(
                 specs, compiled, plan, words, offsets, rngs, width

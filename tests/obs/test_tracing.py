@@ -88,43 +88,54 @@ class TestEnabled:
         assert [s["name"] for s in document["spans"]] == ["kept.span"]
 
     def test_threads_keep_their_own_span_stacks(self, tmp_path):
-        # Two threads open nested spans concurrently while the main
-        # thread holds a span open: each thread's spans must nest only
-        # under that thread's own spans, and a thread with no open span
-        # starts a root instead of adopting the main thread's span.
+        # More threads than cores open nested spans concurrently (with
+        # a shortened switch interval, so they interleave mid-span)
+        # while the main thread holds a span open: each thread's spans
+        # must nest only under that thread's own spans, a thread with
+        # no open span starts a root instead of adopting the main
+        # thread's span, and no span is lost.
         enable_tracing(str(tmp_path / "trace.json"))
-        both_open = threading.Barrier(2, timeout=30)
+        n_threads, rounds = 8, 40
+        all_open = threading.Barrier(n_threads, timeout=30)
 
         def worker(tag):
-            with trace(f"worker.{tag}"):
-                with trace(f"worker.{tag}.mid"):
-                    both_open.wait()
-                    with trace(f"worker.{tag}.leaf"):
-                        pass
+            for index in range(rounds):
+                with trace(f"worker.{tag}", round=index):
+                    with trace(f"worker.{tag}.mid"):
+                        if index == 0:
+                            all_open.wait()
+                        with trace(f"worker.{tag}.leaf"):
+                            pass
 
-        with trace("main.span"):
-            threads = [
-                threading.Thread(target=worker, args=(tag,))
-                for tag in ("a", "b")
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            with trace("main.child"):
-                pass
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with trace("main.span"):
+                threads = [
+                    threading.Thread(target=worker, args=(tag,))
+                    for tag in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                with trace("main.child"):
+                    pass
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         document = json.loads(Path(flush_trace()).read_text())
         assert validate_trace(document) == []
-        roots = {s["name"]: s for s in document["spans"]}
-        assert set(roots) == {"main.span", "worker.a", "worker.b"}
-        assert [c["name"] for c in roots["main.span"]["children"]] == [
-            "main.child"
-        ]
-        for tag in ("a", "b"):
-            (mid,) = roots[f"worker.{tag}"]["children"]
-            assert mid["name"] == f"worker.{tag}.mid"
+        roots = document["spans"]
+        (main,) = [s for s in roots if s["name"] == "main.span"]
+        assert [c["name"] for c in main["children"]] == ["main.child"]
+        workers = [s for s in roots if s["name"] != "main.span"]
+        assert len(workers) == n_threads * rounds
+        for root in workers:
+            (mid,) = root["children"]
+            assert mid["name"] == f"{root['name']}.mid"
             assert [c["name"] for c in mid["children"]] == [
-                f"worker.{tag}.leaf"
+                f"{root['name']}.leaf"
             ]
 
     def test_non_scalar_attrs_coerced(self, tmp_path):

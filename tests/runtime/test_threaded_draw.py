@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.coding import recovery_circuit
@@ -97,7 +99,7 @@ def run_with_width(monkeypatch, specs, width) -> list:
     """Run ``specs`` as one stacked group with a forced draw width."""
     widths = []
 
-    def forced(group, compiled, words):
+    def forced(group, compiled, words, rngs):
         widths.append(width)
         return width
 
@@ -155,7 +157,8 @@ def sweep_dense_like_group(points: int = 4) -> list[RunSpec]:
 def draw_width_of(specs) -> int:
     compiled = compile_circuit(specs[0].circuit, fuse=True)
     words = [words_for(spec.trials) for spec in specs]
-    return executor_module._draw_width(specs, compiled, words)
+    rngs = [executor_module._as_generator(spec.seed) for spec in specs]
+    return executor_module._draw_width(specs, compiled, words, rngs)
 
 
 class TestDrawWidth:
@@ -177,8 +180,21 @@ class TestDrawWidth:
         )
         assert draw_width_of(specs) == 0
 
+    def test_shared_generator_is_serial(self, monkeypatch):
+        # Two points consuming one generator are reproducible only in
+        # the serial point order, so they must never draw on threads.
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
+        specs = sweep_dense_like_group(3)
+        shared = np.random.default_rng(5)
+        specs[0] = replace(specs[0], seed=shared)
+        specs[2] = replace(specs[2], seed=shared)
+        assert draw_width_of(specs) == 0
+        specs[2] = replace(specs[2], seed=np.random.default_rng(5))
+        assert draw_width_of(specs) == 3
+
     def test_multiprocessing_child_is_serial(self):
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             in_child, parent_pid_seen = pool.submit(_width_in_child).result()
         assert parent_pid_seen
         assert in_child == 0
