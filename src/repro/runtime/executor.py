@@ -509,9 +509,8 @@ def _draw_point(spec, rng, n_words, word_offset, compiled, plan):
             rng, spec, compiled, plan, n_words, spec.trials, word_offset
         )
         if drawn is not None:
-            *sites, hit_plane = drawn
-            prefix = sites[3]
-            point.sites = (*sites[:3], prefix.tolist())
+            op_of, word_of, select, prefix, hit_plane = drawn
+            point.sites = (op_of, word_of, select, prefix.tolist())
             cell_sites[plan.combined[3]] = np.diff(prefix)
     else:
         for is_reset, count in (
@@ -531,13 +530,14 @@ def _draw_point(spec, rng, n_words, word_offset, compiled, plan):
             )
             if drawn is None:
                 continue
-            *sites, fault_plane = drawn
+            op_of, word_of, select, prefix, fault_plane = drawn
             if hit_plane is None:
                 hit_plane = fault_plane
             else:
                 hit_plane |= fault_plane
-            prefix = sites[3]
-            point.classes[is_reset] = (*sites[:3], prefix.tolist())
+            point.classes[is_reset] = (
+                op_of, word_of, select, prefix.tolist()
+            )
             cell_sites[plan.cells[is_reset]] = np.diff(prefix)
     if hit_plane is None:
         return point, 0
