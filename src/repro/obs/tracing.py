@@ -173,6 +173,13 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
+class _ThreadSpans(threading.local):
+    """Per-thread tracer state (``__init__`` runs once in each thread)."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 class Tracer:
     """Collects the span tree for one process.
 
@@ -187,16 +194,12 @@ class Tracer:
         self.pid = os.getpid()
         self.origin_ns = clock_ns()
         self.roots: list[Span] = []
-        self._local = threading.local()
+        self._threads = _ThreadSpans()
 
     @property
     def stack(self) -> list[Span]:
         """The calling thread's open spans, innermost last."""
-        try:
-            return self._local.stack
-        except AttributeError:
-            self._local.stack = []
-            return self._local.stack
+        return self._threads.stack
 
     def _close(self, span: Span) -> None:
         # Defensive against mismatched nesting (an abandoned span on an
