@@ -22,7 +22,7 @@ P. O. Boykin and V. P. Roychowdhury, "Reversible Fault-Tolerant Logic"
   :class:`~repro.runtime.RunSpec` points, the environment-hydrated
   :class:`~repro.runtime.ExecutionPolicy`, and an
   :class:`~repro.runtime.Executor` that batches points sharing a
-  compiled circuit into one stacked bitplane array;
+  compiled circuit into one stacked group of bitplane windows;
 * :mod:`repro.harness` — statistics, sweeps, pseudo-threshold search,
   and the experiment registry that maps every table and figure of the
   paper to reproduction code.

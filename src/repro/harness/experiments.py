@@ -20,7 +20,7 @@ Independent Monte-Carlo points (fig2's two error rates, fig3's two
 concatenation levels, mc-threshold's bracket) are expressed as
 :class:`~repro.runtime.RunSpec` batches through
 :class:`~repro.runtime.Executor`: points sharing a circuit (fig2)
-evaluate in one stacked plane array, and distinct circuits (fig3's two
+evaluate as one stacked group, and distinct circuits (fig3's two
 levels) fan out to a process pool when ``REPRO_PARALLEL`` is set to a
 worker count (or ``max``).  Every point carries its own frozen seed
 and each point's numbers are independent of how it was batched or
@@ -330,7 +330,7 @@ def experiment_fig2() -> ExperimentResult:
     trials = max(trial_budget(), 30000)
     g_small, g_large = 2.5e-3, 5e-3
     # Both points share the cycle circuit, so the executor runs them as
-    # one stacked plane array; each point keeps its frozen seed.
+    # one stacked group; each point keeps its frozen seed.
     scaling = measure_cycle_errors(
         ((g_small, 11), (g_large, 12)), trials, policy=execution_policy()
     )
@@ -760,7 +760,7 @@ def experiment_baseline() -> ExperimentResult:
 def experiment_mc_threshold() -> ExperimentResult:
     trials = min(trial_budget(), 100000)
     # The search runs as stacked rounds on the runtime layer: bracket
-    # endpoints plus the speculative first midpoint in one plane array,
+    # endpoints plus the speculative first midpoint in one stacked group,
     # then each bisection round's pending stage batched with the two
     # next possible midpoints.  Identical numbers to the sequential
     # per-stage evaluation (each candidate keeps its pre-spawned stage

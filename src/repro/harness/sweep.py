@@ -24,8 +24,8 @@ callers.
 
 Monte-Carlo point functions that share a circuit are better expressed
 as :class:`~repro.runtime.RunSpec` batches through
-:class:`~repro.runtime.Executor`, which stacks the points into one
-plane array instead of re-simulating per point; ``sweep`` remains the
+:class:`~repro.runtime.Executor`, which stacks the points into shared
+plane windows instead of re-simulating per point; ``sweep`` remains the
 generic grid evaluator for everything else.
 """
 

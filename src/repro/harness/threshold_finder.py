@@ -79,9 +79,9 @@ def cycle_error_specs(
 
     Each point is a ``(gate_error, seed)`` pair; every spec shares the
     memoised cycle circuit, so an :class:`~repro.runtime.Executor`
-    evaluates the whole batch as ONE stacked bitplane array (the
-    multi-point sweep workload pays one program execution, not one per
-    point).
+    evaluates the whole batch as ONE stacked group (the multi-point
+    sweep workload pays one program execution per cache-sized plane
+    window, not one per point).
     """
     if cycles < 1:
         raise AnalysisError(f"cycles must be >= 1, got {cycles}")
@@ -135,7 +135,7 @@ def measure_cycle_errors(
     ``(gate_error, seed)`` point, in point order.
 
     All points share one compiled circuit, so the executor evaluates
-    them in a single stacked plane array; each point's numbers are
+    them as a single stacked group; each point's numbers are
     bit-identical to measuring it alone.  ``policy`` defaults to
     :meth:`~repro.runtime.ExecutionPolicy.from_env`.
 

@@ -11,9 +11,9 @@ obligations:
   with the process that died.
 * **Program affinity.**  Specs are grouped by circuit content and
   input vector *before* chunking, so every shard's points share one
-  compiled program and ride one stacked plane array inside the
-  executor.  A worker that warms the compile cache once then runs a
-  shard never recompiles.
+  compiled program and form one stacked group inside the executor.
+  A worker that warms the compile cache once then runs a shard never
+  recompiles.
 * **Bit-identity.**  Shards never touch seeds: each point keeps the
   integer seed it was submitted with (the per-point seed-spawning
   discipline of :func:`repro.harness.sweep.spawn_seeds`), so the union

@@ -35,7 +35,7 @@ only comparable within one engine.
 
 This module is the single-point *kernel*; multi-point workloads go
 through :mod:`repro.runtime`, whose executor stacks all points sharing
-a compiled circuit into one plane array while drawing each point's
+a compiled circuit into shared plane windows while drawing each point's
 faults from its own generator in exactly this module's order — every
 stacked point is bit-identical to a solo run.
 :func:`estimate_failure_probability` survives as a deprecated shim over
@@ -425,7 +425,7 @@ def estimate_failure_probability(
     .. deprecated:: PR 3
         Build a :class:`~repro.runtime.RunSpec` and run it through
         :class:`~repro.runtime.Executor` — batches of specs sharing a
-        circuit then evaluate in one stacked plane array.  The shim
+        circuit then evaluate as one stacked group.  The shim
         keeps the old signature and returns ``(failure_fraction,
         failures)`` with numbers bit-identical to the PR 2
         implementation (a single-point executor run consumes the RNG

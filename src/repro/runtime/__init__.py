@@ -5,9 +5,10 @@ The public surface is small: describe each point as a
 (hydrated from the ``REPRO_*`` environment knobs exactly once via
 :meth:`ExecutionPolicy.from_env`), and hand batches of specs to an
 :class:`Executor`.  Points that share a compiled program are evaluated
-together in one stacked bitplane array; independent groups can fan out
-to a process pool.  See :mod:`repro.runtime.executor` for the
-execution plan and its bit-identity guarantee.
+together as one stacked group, packed into cache-sized bitplane
+windows; independent groups can fan out to a process pool.  See
+:mod:`repro.runtime.executor` for the execution plan and its
+bit-identity guarantee.
 """
 
 from repro.runtime.spec import (

@@ -11,28 +11,33 @@ spec, in spec order.  The execution plan has three levels:
    concatenation circuits) is several.
 
 2. **Stacked plane batching (within a group).**  A bitplane group's
-   points all ride in ONE plane array: each point owns a word-aligned
-   window of the trial axis (``points x trials`` on the word axis), so
-   every fused slot of the shared program executes once over all
-   points' words instead of once per point.  Fault handling is
-   amortised the same way: each point draws and segments its whole
-   per-error-class fault pass ONCE (slot membership, group, instance
-   row, and destination word of every fault site come from
-   precomputed per-class tables), the slot loop merely slices those
-   tables, and all points' sites scatter in one ``randomize_stacked``
-   call per slot group.  Fault *randomness* stays strictly per point —
-   every point's gap-jumping pass and replacement words come from its
-   own seeded generator in solo order — so, plane operations being
-   wordwise, every point's window is **bit-identical** to running that
-   spec alone through :class:`~repro.noise.monte_carlo.NoisyRunner`.
-   Batching is purely an execution detail, never a statistical one.
+   consecutive whole points are packed into *windows*, plane arrays of
+   at most :data:`WINDOW_BYTES`: inside a window each point owns a
+   word-aligned run of the trial axis (``points x trials`` on the word
+   axis), so every fused slot of the shared program executes once over
+   the window's words instead of once per point, and the window stays
+   resident in cache across the slot loop.  A point larger than the
+   budget is a window of its own; no point is ever split.  Fault
+   handling is amortised over the whole group: each point draws and
+   segments its whole per-error-class fault pass ONCE (slot
+   membership, group, instance row, and destination word of every
+   fault site come from precomputed per-class tables), the slot loop
+   merely slices those tables, and a window's sites scatter in one
+   ``randomize_stacked`` call per slot group.  Fault *randomness*
+   stays strictly per point — every point's gap-jumping pass and
+   replacement words come from its own seeded generator in solo order
+   — so, plane operations being wordwise, every point's words are
+   **bit-identical** to running that spec alone through
+   :class:`~repro.noise.monte_carlo.NoisyRunner`, whatever window it
+   lands in.  Batching is purely an execution detail, never a
+   statistical one.
 
 3. **Parallelism: processes across groups, threads across draws —
    never both.**  With ``policy.parallel`` >= 2 workers and more than
    one group, whole groups fan out to a :mod:`concurrent.futures`
    process pool (specs must then be picklable); the job runner fans
    shards out the same way.  Points within a group never split across
-   processes — they are already batched into one array.  Inside a
+   processes — they are already batched into plane windows.  Inside a
    group, the fault-draw phase is the one per-point stage, and in the
    dense-fault regime near the pseudo-threshold it dominates the wall
    time; each point draws from its own generator, so the per-point
@@ -113,6 +118,19 @@ _POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 #: sits above all three, so a threaded draw always wins.
 THREADED_DRAW_MIN_SITES = 100_000
 
+#: Plane bytes per slot-loop window.  A group's consecutive whole points
+#: are packed into windows of at most this many bytes of planes, and the
+#: slot loop and decode run once per window, so every fused slot streams
+#: a cache-resident window instead of the whole group from memory.
+#: Measured on the 27-wire 3-cycle recovery circuit (median of 7-15
+#: runs, 2-vCPU Xeon VM, 2 MiB L2 per core): a 5-point x 2M-trial
+#: sparse shard took 271-274 ms with one window per point against
+#: 880 ms in one group-sized array; a 40-point x 20k-trial shard took
+#: 34-37 ms at budgets of 4k-16k words (0.9-3.5 MB), 40-44 ms at 2k
+#: words (more windows, more per-slot calls) and 58 ms in one array.
+#: 1 MiB (4854 words here) sits inside that plateau.
+WINDOW_BYTES = 1 << 20
+
 
 def resolve_workers(parallel: int | bool | None, points: int) -> int:
     """Worker count for a pooled fan-out: 0 means run in-process.
@@ -142,11 +160,11 @@ def _group_key(spec: RunSpec, policy: ExecutionPolicy) -> tuple:
     cache's own notion of identity — so content-equal circuits in
     distinct objects (a synthesised or peephole-optimised circuit next
     to its hand-written reference, a circuit rebuilt by a spec factory)
-    batch into one stacked plane array instead of merely sharing a
-    compiled program across separate batches.  Hashing the op sequence
-    is cheap next to even one spec's simulation, and batching never
-    changes a point's numbers (the executor's bit-identity guarantee),
-    so wider grouping is pure upside.
+    batch into one stacked group instead of merely sharing a compiled
+    program across separate batches.  The key and its hash are
+    memoised on the circuit, and batching never changes a point's
+    numbers (the executor's bit-identity guarantee), so wider grouping
+    is pure upside.
     """
     return (
         resolve_engine(policy.engine, spec.trials),
@@ -298,9 +316,10 @@ class _PointSites:
     On the combined fast path ``sites`` is ``(op_of, word_of, select,
     prefix)`` over the merged-class virtual op axis; on the general
     path ``classes[is_reset]`` is the same tuple over that class's op
-    axis.  ``op_of`` (an op index) and ``word_of`` (the stacked plane
-    word) are int32; the slot loop maps them to scatter indices through
-    the plan's tables one slot group at a time.  Either way the sites
+    axis.  ``op_of`` (an op index) and ``word_of`` (the word inside the
+    point's plane window, so window-local) are int32; the window's slot
+    loop maps them to scatter indices through the plan's tables one
+    slot group at a time.  Either way the sites
     are sorted by (class-slot, group) cell and ``prefix`` (plain ints)
     slices each cell's run.  ``block``/``block_bounds`` hold the
     point's ONE flat replacement-word draw, sliced per global cell in
@@ -395,7 +414,7 @@ def _point_sites_combined(
     one segmentation, one fault plane and one per-cell prefix.
     Returns ``(op_of, word_of, select, prefix, fault_plane)`` or
     ``None`` when nothing was drawn; ``op_of`` indexes the merged op
-    axis and ``word_of`` the stacked plane's words.
+    axis and ``word_of`` the words of the point's plane window.
     """
     padded = n_words * 64
     op_cell, _, bins, _, monotone, op_offset, _ = plan.combined
@@ -562,8 +581,8 @@ def _segment_count(points) -> int:
 def _draw_phase(specs, compiled, plan, words, offsets, rngs, width):
     """Fault-draw phase — every point's :func:`_draw_point`, on
     ``width`` threads (0 = serial, see :func:`_draw_width`).  Returns
-    the resolved per-point sites, the per-point faulted-trial counts,
-    and the per-class active-point index lists.
+    the resolved per-point sites and the per-point faulted-trial
+    counts.
     """
     draw = partial(_draw_point, compiled=compiled, plan=plan)
     arguments = (specs, rngs, words, offsets)
@@ -572,37 +591,39 @@ def _draw_phase(specs, compiled, plan, words, offsets, rngs, width):
             drawn = list(pool.map(draw, *arguments))
     else:
         drawn = list(map(draw, *arguments))
-    points = [point for point, _ in drawn]
-    faulted = [count for _, count in drawn]
+    return [point for point, _ in drawn], [count for _, count in drawn]
+
+
+def _points_with(plan, points) -> dict[bool, list[int]]:
+    """Per error class, the indices of ``points`` holding its sites."""
     if plan.combined is not None:
         active = [p for p, point in enumerate(points) if point.sites is not None]
-        points_with = {False: active, True: active}
-    else:
-        points_with = {
-            is_reset: [
-                p for p, point in enumerate(points) if is_reset in point.classes
-            ]
-            for is_reset in (False, True)
-        }
-    return points, faulted, points_with
+        return {False: active, True: active}
+    return {
+        is_reset: [
+            p for p, point in enumerate(points) if is_reset in point.classes
+        ]
+        for is_reset in (False, True)
+    }
 
 
 def _inject_phase(
     backend, prepared, states, compiled, plan, points, points_with
 ):
-    """Slot-loop phase — one stacked apply per program group, pure
-    slicing of each point's precomputed sites and word block, and one
-    scatter per group for all points together.  Each slot group's
-    scatter indices are built here from the points' int32 ``(op_of,
-    word_of)`` sites: the combined fast path gathers them from the
-    merged wire table, scaled to flat plane offsets once per call, and
-    scatters through a bare take/put on the flat plane buffer;
-    mixed-arity circuits map ``op_of`` to wire-matrix rows and go
-    through ``randomize_stacked``'s per-call wire gather.  The reshape
-    MUST alias the planes (a non-contiguous array would silently
-    reshape into a copy and every put would write to a dead buffer);
-    broadcast allocates contiguous, and this fails loudly — not via
-    assert, which -O strips — if that invariant is ever broken.
+    """Slot-loop phase of one plane window — one stacked apply per
+    program group, pure slicing of each point's precomputed sites and
+    word block, and one scatter per group for the window's points
+    together.  Each slot group's scatter indices are built here from
+    the points' int32 ``(op_of, word_of)`` sites: the combined fast
+    path gathers them from the merged wire table, scaled to flat plane
+    offsets once per call, and scatters through a bare take/put on the
+    flat plane buffer; mixed-arity circuits map ``op_of`` to
+    wire-matrix rows and go through ``randomize_stacked``'s per-call
+    wire gather.  The reshape MUST alias the planes (a non-contiguous
+    array would silently reshape into a copy and every put would write
+    to a dead buffer); broadcast allocates contiguous, and this fails
+    loudly — not via assert, which -O strips — if that invariant is
+    ever broken.
     """
     max_groups = plan.max_groups
     combined = plan.combined
@@ -711,13 +732,13 @@ def _concatenate_parts(parts):
 
 
 def _decode_phase(specs, states, words, offsets, faulted):
-    """Observation phase — points sharing one observable (the sweep
-    and threshold-search common case) are decoded in ONE stacked pass
-    over the whole plane array; each point's count is read off its
-    window of the resulting failure plane, so the decode cost is paid
-    per *batch*, not per point.  Observables without a stacked path —
-    and singleton clusters, where stacking buys nothing — keep the
-    per-window ``count_failures`` call.
+    """Observation phase of one plane window — points sharing one
+    observable (the sweep and threshold-search common case) are decoded
+    in ONE stacked pass over the window; each point's count is read off
+    its words of the resulting failure plane, so the decode cost is
+    paid per *window*, not per point.  Observables without a stacked
+    path — and singleton clusters, where stacking buys nothing — keep
+    the per-point ``count_failures`` call on the point's words.
     """
     failure_counts: list[int | None] = [None] * len(specs)
     clusters: list[tuple[object, list[int]]] = []
@@ -757,26 +778,52 @@ def _decode_phase(specs, states, words, offsets, faulted):
     return results
 
 
+def _pack_windows(words, n_wires) -> tuple[list[slice], list[int]]:
+    """Pack a group's consecutive whole points into plane windows.
+
+    A window holds points in spec order while its planes stay within
+    :data:`WINDOW_BYTES` (``WINDOW_BYTES // (8 * n_wires)`` words); a
+    point larger than that is a window of its own, never split.
+    Returns the windows as slices of the point axis and each point's
+    word offset inside its window.
+    """
+    budget = WINDOW_BYTES // (8 * n_wires)
+    windows: list[slice] = []
+    offsets: list[int] = []
+    start = used = 0
+    for p, width in enumerate(words):
+        if p > start and used + width > budget:
+            windows.append(slice(start, p))
+            start, used = p, 0
+        offsets.append(used)
+        used += width
+    windows.append(slice(start, len(words)))
+    return windows, offsets
+
+
 def _run_group_stacked(
     specs: Sequence[RunSpec], policy: ExecutionPolicy
 ) -> list[PointResult]:
-    """Evaluate one bitplane group's points in a single stacked array.
+    """Evaluate one bitplane group's points in cache-sized windows.
 
-    Point ``p`` occupies the word window ``[offset_p, offset_p +
-    words_p)`` of every wire plane.  The shared program is applied once
-    per fused slot over the whole array; fault injection is per point
-    (each point's noise level and generator are its own) but batched
-    per slot: every point's replacement words are drawn from its own
-    generator in the solo order, then all points' fault sites scatter
-    in ONE ``randomize_stacked`` call per slot group.
+    :func:`_pack_windows` packs consecutive whole points into plane
+    windows; point ``p`` occupies the words ``[offset_p, offset_p +
+    words_p)`` of every wire plane of its window.  One draw phase
+    resolves every point's fault sites against its window-local
+    offset.  Then each window gets its own broadcast state, slot loop
+    and decode: the shared program is applied once per fused slot over
+    the window, and fault injection is per point (each point's noise
+    level and generator are its own) but batched per slot, all the
+    window's fault sites scattering in ONE call per slot group.
 
     The per-point generator consumption — class gap passes, then
     per-slot per-group replacement-word blocks — matches a solo
     ``NoisyRunner`` run draw for draw, and plane operations are
-    wordwise, so each point's window is **bit-identical** to running
-    the spec alone.  The three phases (fault draw, slot loop, decode)
-    each get a child span of the group span; tracing reads only the
-    clock, never the generators, so an enabled trace cannot move a
+    wordwise, so each point's words are **bit-identical** to running
+    the spec alone.  The group span has one ``draw`` child and one
+    ``apply`` child (``windows=<n>``) that wraps the window loop, with
+    each window's ``decode`` span nested inside it; tracing reads only
+    the clock, never the generators, so an enabled trace cannot move a
     digest.
     """
     first = specs[0]
@@ -793,32 +840,38 @@ def _run_group_stacked(
         plan = _StackPlan(compiled)
         compiled._stack_plan = plan
     words = [words_for(spec.trials) for spec in specs]
-    offsets = [0]
-    for width in words[:-1]:
-        offsets.append(offsets[-1] + width)
-    total_words = sum(words)
+    windows, offsets = _pack_windows(words, first.circuit.n_wires)
     with trace(
         "executor.group",
         specs=len(specs),
         trials=sum(spec.trials for spec in specs),
-        words=total_words,
+        words=sum(words),
         slots=len(compiled.slots),
         circuit=first.circuit.name or f"{first.circuit.n_wires}-wire",
     ):
-        states = backend.broadcast(first.input_bits, total_words * 64)
         rngs = [_as_generator(spec.seed) for spec in specs]
         width = _draw_width(specs, compiled, words, rngs)
         with trace("executor.group.draw") as span:
-            points, faulted, points_with = _draw_phase(
+            points, faulted = _draw_phase(
                 specs, compiled, plan, words, offsets, rngs, width
             )
             span.set(threads=width, segments=_segment_count(points))
-        with trace("executor.group.apply"):
-            _inject_phase(
-                backend, prepared, states, compiled, plan, points, points_with
-            )
-        with trace("executor.group.decode"):
-            results = _decode_phase(specs, states, words, offsets, faulted)
+        results = []
+        with trace("executor.group.apply", windows=len(windows)):
+            for window in windows:
+                states = backend.broadcast(
+                    first.input_bits, sum(words[window]) * 64
+                )
+                window_points = points[window]
+                _inject_phase(
+                    backend, prepared, states, compiled, plan,
+                    window_points, _points_with(plan, window_points),
+                )
+                with trace("executor.group.decode"):
+                    results += _decode_phase(
+                        specs[window], states, words[window],
+                        offsets[window], faulted[window],
+                    )
     _STACKED_POINTS.inc(len(specs))
     return results
 

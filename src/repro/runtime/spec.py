@@ -25,8 +25,8 @@ failure predicate".  This module gives that shape a value type:
 
 Specs are deliberately engine-free: the same ``RunSpec`` runs on the
 batched or bitplane engine, serially or pooled, alone or stacked with
-other points into one plane array — and, by construction, produces the
-same failure counts in every mode.
+other points into shared plane windows — and, by construction,
+produces the same failure counts in every mode.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ class ExecutionPolicy:
             ``None``/0/1 in-process, ``N`` workers, ``True`` one per
             CPU (``REPRO_PARALLEL``; ``max`` means ``True``).  The
             executor pools only *across* compiled groups; points
-            sharing a program batch into one plane array instead.
+            sharing a program batch into stacked plane windows instead.
         fuse: whether the compiler fuses disjoint ops into slots
             (``REPRO_FUSE``).  Unfused execution keeps the pre-fusion
             RNG stream and is evaluated point by point.
