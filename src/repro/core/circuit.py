@@ -95,6 +95,27 @@ class Operation:
         )
 
 
+class _ContentKey(tuple):
+    """A :meth:`Circuit.content_key` that hashes its op sequence once.
+
+    Equal to, and hashing like, the plain ``(n_wires, ops)`` tuple.
+    Hashing the ops runs a Python-level ``__hash__`` per operation,
+    gate and kind (~100 us for a recovery cycle's 162 ops), so the
+    first hash is kept on the key.  The key pickles without it: str
+    hashes are salted per process, so a cached hash must never cross a
+    process boundary.
+    """
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("hash")
+        if cached is None:
+            cached = self.__dict__["hash"] = tuple.__hash__(self)
+        return cached
+
+    def __reduce__(self):
+        return (_ContentKey, (tuple(self),))
+
+
 @dataclass
 class Circuit:
     """An ordered list of operations on ``n_wires`` wires.
@@ -108,6 +129,14 @@ class Circuit:
     n_wires: int
     name: str = ""
     _ops: list[Operation] = field(default_factory=list)
+    # The memoised content key (not a dataclass field, so equality and
+    # repr ignore it); ``append`` drops it and pickling leaves it out.
+    _key = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_key", None)
+        return state
 
     def __post_init__(self) -> None:
         if self.n_wires < 1:
@@ -131,6 +160,7 @@ class Circuit:
         """Append a pre-built operation."""
         self._validate(op)
         self._ops.append(op)
+        self._key = None
         return self
 
     def append_gate(self, gate: Gate, *wires: int) -> "Circuit":
@@ -291,9 +321,12 @@ class Circuit:
         structure.  This single key drives both the compile cache
         (:mod:`repro.core.compiled`) and the synthesis identity
         database (:mod:`repro.synth.database`); there is deliberately
-        no second hashing scheme.
+        no second hashing scheme.  The key and its hash are memoised
+        on the circuit until the next :meth:`append`.
         """
-        return (self.n_wires, self.ops)
+        if self._key is None:
+            self._key = _ContentKey((self.n_wires, self.ops))
+        return self._key
 
     def count_ops(self) -> Counter:
         """Histogram of operation labels (gate names and ``RESET``)."""

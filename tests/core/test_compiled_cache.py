@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
@@ -45,6 +50,59 @@ class TestContentKey:
 
     def test_key_is_hashable(self):
         assert {build_circuit().content_key(): 1}[build_circuit().content_key()] == 1
+
+    def test_key_is_memoised_until_append(self):
+        circuit = build_circuit()
+        key = circuit.content_key()
+        assert circuit.content_key() is key
+        plain = (circuit.n_wires, circuit.ops)
+        assert key == plain and hash(key) == hash(plain)
+        circuit.x(0)
+        assert circuit.content_key() is not key
+        assert hash(circuit.content_key()) == hash((circuit.n_wires, circuit.ops))
+
+    def test_pickle_leaves_the_memo_out(self):
+        circuit = build_circuit()
+        key = circuit.content_key()
+        hash(key)
+        assert "_key" not in pickle.loads(pickle.dumps(circuit)).__dict__
+        assert "hash" not in pickle.loads(pickle.dumps(key)).__dict__
+
+    def test_spawned_circuit_groups_and_caches_like_a_local_one(self):
+        # str hashes are salted per process: a hash cached in the parent
+        # must not reach the child, or the shipped circuit would miss
+        # the child's compile cache and group apart from its twin.
+        circuit = build_circuit()
+        hash(circuit.content_key())
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(_same_as_local_build, circuit).result()
+
+
+def _same_as_local_build(shipped: Circuit) -> bool:
+    """Runs in a spawned child: does ``shipped`` key like a local twin?"""
+    from repro.noise import NoiseModel
+    from repro.runtime import ExecutionPolicy, RunSpec
+    from repro.runtime.executor import _group_key
+
+    local = build_circuit()
+    policy = ExecutionPolicy(engine="bitplane")
+
+    def group(circuit):
+        spec = RunSpec(
+            circuit=circuit,
+            input_bits=(0,) * 4,
+            observable=lambda states: np.zeros(states.trials, dtype=bool),
+            noise=NoiseModel(gate_error=0.0),
+            trials=64,
+        )
+        return _group_key(spec, policy)
+
+    return (
+        hash(group(shipped)) == hash(group(local))
+        and group(shipped) == group(local)
+        and compile_circuit(local) is compile_circuit(shipped)
+    )
 
 
 class TestKeying:
