@@ -607,9 +607,7 @@ def _points_with(plan, points) -> dict[bool, list[int]]:
     }
 
 
-def _inject_phase(
-    backend, prepared, states, compiled, plan, points, points_with
-):
+def _inject_phase(backend, prepared, states, compiled, plan, points):
     """Slot-loop phase of one plane window — one stacked apply per
     program group, pure slicing of each point's precomputed sites and
     word block, and one scatter per group for the window's points
@@ -627,6 +625,7 @@ def _inject_phase(
     """
     max_groups = plan.max_groups
     combined = plan.combined
+    points_with = _points_with(plan, points)
     if not states.planes.flags.c_contiguous:
         raise SimulationError(
             "stacked executor requires C-contiguous planes; the flat "
@@ -862,10 +861,8 @@ def _run_group_stacked(
                 states = backend.broadcast(
                     first.input_bits, sum(words[window]) * 64
                 )
-                window_points = points[window]
                 _inject_phase(
-                    backend, prepared, states, compiled, plan,
-                    window_points, _points_with(plan, window_points),
+                    backend, prepared, states, compiled, plan, points[window]
                 )
                 with trace("executor.group.decode"):
                     results += _decode_phase(
