@@ -319,13 +319,13 @@ class _PointSites:
     axis.  ``op_of`` (an op index) and ``word_of`` (the word inside the
     point's plane window, so window-local) are int32; the window's slot
     loop maps them to scatter indices through the plan's tables one
-    slot group at a time.  Either way the sites
-    are sorted by (class-slot, group) cell and ``prefix`` (plain ints)
-    slices each cell's run.  ``block``/``block_bounds`` hold the
-    point's ONE flat replacement-word draw, sliced per global cell in
-    slot order — NumPy integer draws are stream-consistent under
-    splitting, so this single draw consumes the generator exactly like
-    the solo engine's per-slot-per-group blocks.
+    slot group at a time.  Either way the sites are sorted by
+    (class-slot, group) cell and ``prefix`` (plain ints) slices each
+    cell's run.  ``block``/``block_bounds`` hold the point's ONE flat
+    replacement-word draw, sliced per global cell in slot order —
+    NumPy integer draws are stream-consistent under splitting, so this
+    single draw consumes the generator exactly like the solo engine's
+    per-slot-per-group blocks.
     """
 
     __slots__ = ("sites", "classes", "block", "block_bounds")
