@@ -44,7 +44,8 @@ that layer.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,17 +64,29 @@ ENGINES = ("auto", "batched", "bitplane")
 #: Smallest batch for which ``engine="auto"`` picks the bitplane engine.
 AUTO_BITPLANE_MIN_TRIALS = 256
 
-#: Success probability at which :func:`_bernoulli_positions` switches
-#: from geometric gap-jumping to a direct thresholded draw.  Gap
-#: jumping costs one geometric draw *per success* (~14 ns vectorised,
-#: since NumPy evaluates ``log`` over the whole gap batch at once)
-#: while the dense draw costs one uniform per *trial* (~3 ns), so the
-#: measured crossover sits near ``p = 0.2``–``0.25`` — far above the
-#: ``g ~ 1e-2`` point where the gap-jumper merely starts to dominate
-#: the runtime *profile*.  The switch engages where it actually wins;
-#: every engine digest and threshold experiment stays in the sparse
-#: regime.
+#: Success probability at which :func:`_bernoulli_position_chunks`
+#: switches from geometric gap-jumping to a direct thresholded draw.
+#: Gap jumping costs one gap *per success* (~15 ns through the
+#: exponential inversion; ``Generator.geometric`` itself takes ~27 ns)
+#: while the dense draw costs one uniform, compare and scan per *trial*
+#: (~7 ns), measured on a 2-vCPU Xeon VM at 4M trials.  The two now meet
+#: near ``p = 0.45``, but the switch stays at 0.25: moving it would
+#: change the fault stream of every draw in between.  Every engine
+#: digest and threshold experiment draws in the sparse regime.
 DENSE_PROBABILITY = 0.25
+
+#: Fault positions per chunk of :func:`_bernoulli_position_chunks`.
+#: The stacked executor segments each chunk while it is still in cache,
+#: so no array with one entry per fault site is ever held, only the
+#: per-segment results.  Measured on a 2-vCPU Xeon VM (2 MiB L2 per
+#: core), median of 11 interleaved draws per size: one 1M-trial point of
+#: the 1-cycle recovery circuit at g = 0.04 (2.2M sites) took 64-67 ms
+#: at 16k-64k sites per chunk, against 140 ms for the whole-array draw
+#: this replaced.  Dense draws chunk trials, not sites, so they pay for
+#: small chunks: a 150k-trial point at p = 0.3 took 153, 107, 72, 68
+#: and 76 ms at 4k, 8k, 32k, 128k and 512k in one run.  At 32k a
+#: chunk's few 8-byte temporaries (~1.3 MB) stay inside L2.
+DRAW_CHUNK = 1 << 15
 
 
 def _validate_engine(engine: str) -> None:
@@ -97,22 +110,25 @@ def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator
     return np.random.default_rng(seed)
 
 
-def _bernoulli_positions(
+def _bernoulli_position_chunks(
     rng: np.random.Generator,
     probability: float,
     trials: int,
     dense: bool | None = None,
-) -> np.ndarray:
-    """Sorted indices of successes among ``trials`` Bernoulli draws.
+) -> Iterator[np.ndarray]:
+    """Sorted indices of successes among ``trials`` Bernoulli draws, in
+    chunks of at most :data:`DRAW_CHUNK` positions.
 
-    Two regimes behind one contract (sorted, duplicate-free int64
-    positions in ``[0, trials)``):
+    Two regimes behind one contract (non-empty, sorted, duplicate-free
+    int64 chunks of positions in ``[0, trials)``, increasing from chunk
+    to chunk):
 
     * sparse (``p < DENSE_PROBABILITY``) — geometric gaps between
       successes, so the cost is proportional to the expected
       ``trials * p`` successes;
-    * dense — one vectorised uniform per trial thresholded against
-      ``p``; cheaper once successes are no longer rare.
+    * dense — one uniform per trial thresholded against ``p``, drawn
+      ``DRAW_CHUNK`` trials at a time; cheaper once successes are no
+      longer rare.
 
     ``dense`` forces a regime (used by the distribution-agreement
     tests); ``None`` selects by ``probability``.  This is the bitplane
@@ -120,36 +136,74 @@ def _bernoulli_positions(
     at ``p >= DENSE_PROBABILITY`` — the frozen digests all sit in the
     sparse regime.
 
-    The sparse regime turns each gap batch into positions in place
-    (one buffer per batch, no ``last + cumsum`` or boolean-mask
-    temporaries) and trims the final batch with a ``searchsorted``
-    slice, which the strictly increasing positions make exact.  The
-    returned array may therefore be a view into a slightly longer
-    batch buffer.
+    The sparse regime draws gap batches of ``expected + 4 sigma + 16``
+    variates, consuming the last batch whole even past ``trials``, and
+    slices every batch into chunks.  Each gap is ``ceil(E / -log1p(-p))``
+    for a standard exponential ``E`` — the inversion
+    ``Generator.geometric`` itself computes per variate below
+    ``p = 1/3`` (``math.log1p`` is the same C ``log1p`` NumPy calls) —
+    and both the uniform and the exponential streams are consistent
+    under splitting, so the chunks and the generator's final state are
+    bit-identical to one whole-batch ``geometric`` draw.  A consumer
+    may modify a chunk in place; it stays valid after the next one is
+    drawn.
     """
     if trials == 0 or probability <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return
     if probability >= 1.0:
-        return np.arange(trials, dtype=np.int64)
+        for start in range(0, trials, DRAW_CHUNK):
+            yield np.arange(start, min(start + DRAW_CHUNK, trials), dtype=np.int64)
+        return
     if dense is None:
         dense = probability >= DENSE_PROBABILITY
     if dense:
-        return np.flatnonzero(rng.random(trials) < probability).astype(
-            np.int64, copy=False
-        )
+        for start in range(0, trials, DRAW_CHUNK):
+            uniforms = rng.random(min(DRAW_CHUNK, trials - start))
+            positions = np.flatnonzero(uniforms < probability)
+            if positions.size:
+                positions += start
+                yield positions
+        return
     expected = trials * probability
     batch = int(expected + 4.0 * expected**0.5 + 16.0)
-    chunks = []
+    scale = -math.log1p(-probability)
+
+    def gaps(size):
+        if probability >= 1 / 3:  # a forced sparse draw: NumPy's search
+            return rng.geometric(probability, size)
+        exponentials = rng.standard_exponential(size)
+        exponentials /= scale
+        return np.ceil(exponentials, out=exponentials).astype(np.int64)
+
     last = -1
     while True:
-        positions = rng.geometric(probability, size=batch)
-        np.cumsum(positions, out=positions)
-        positions += last
-        if positions[-1] >= trials:
-            chunks.append(positions[: np.searchsorted(positions, trials)])
-            break
-        chunks.append(positions)
-        last = int(positions[-1])
+        for start in range(0, batch, DRAW_CHUNK):
+            positions = gaps(min(DRAW_CHUNK, batch - start))
+            positions[0] += last
+            np.cumsum(positions, out=positions)
+            if positions[-1] >= trials:
+                positions = positions[: np.searchsorted(positions, trials)]
+                if positions.size:
+                    yield positions
+                # Finish the batch, as the whole-batch draw did.
+                for rest in range(start + DRAW_CHUNK, batch, DRAW_CHUNK):
+                    gaps(min(DRAW_CHUNK, batch - rest))
+                return
+            last = int(positions[-1])
+            yield positions
+
+
+def _bernoulli_positions(
+    rng: np.random.Generator,
+    probability: float,
+    trials: int,
+    dense: bool | None = None,
+) -> np.ndarray:
+    """All of :func:`_bernoulli_position_chunks` as one sorted int64
+    array (same arguments, same stream)."""
+    chunks = list(_bernoulli_position_chunks(rng, probability, trials, dense))
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
@@ -174,9 +228,10 @@ def inject_slot_faults(
 
     This is the single-point schedule's per-slot path.  The stacked
     multi-point executor (:mod:`repro.runtime.executor`) performs the
-    same segmentation once per *error class* instead of per slot (see
-    ``_point_class_sites`` there); the two must stay in step on the
-    padding rule and the segment/select construction.
+    same segmentation once per *error class* instead of per slot, one
+    position chunk at a time (see ``_segment_sites`` there); the two
+    must stay in step on the padding rule and the segment/select
+    construction.
 
     ``backend`` routes the scatter through a
     :class:`~repro.backends.PlaneBackend` (``None`` uses the state's

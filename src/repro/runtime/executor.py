@@ -18,11 +18,12 @@ spec, in spec order.  The execution plan has three levels:
    the window's words instead of once per point, and the window stays
    resident in cache across the slot loop.  A point larger than the
    budget is a window of its own; no point is ever split.  Fault
-   handling is amortised over the whole group: each point draws and
-   segments its whole per-error-class fault pass ONCE (slot
-   membership, group, instance row, and destination word of every
-   fault site come from precomputed per-class tables), the slot loop
-   merely slices those tables, and a window's sites scatter in one
+   handling is amortised over the whole group: each point draws its
+   whole per-error-class fault pass ONCE and segments it as it comes,
+   one cache-sized chunk of positions at a time (slot membership,
+   group, instance row, and destination word of every fault segment
+   come from precomputed per-class tables), the slot loop merely
+   slices those tables, and a window's sites scatter in one
    ``randomize_stacked`` call per slot group.  Fault *randomness*
    stays strictly per point — every point's gap-jumping pass and
    replacement words come from its own seeded generator in solo order
@@ -51,15 +52,23 @@ spec, in spec order.  The execution plan has three levels:
    :data:`THREADED_DRAW_MIN_SITES` expected fault sites, where starting
    a pool (~0.6 ms) costs more than it saves.
 
-   Each point holds its resolved sites until the slot loop consumes
-   them: int32 ``(op_of, word_of)`` pairs, a packed select word and
-   ``arity`` replacement words per segment — 40 bytes per segment at
-   arity 3, where the former precomputed int64 ``arity x segments``
-   scatter indices held 56.  The slot loop builds each slot group's
-   scatter indices from the plan's wire table instead.  The
-   replacement words stay ONE eager flat draw per point, made on the
-   draw thread: drawing them lazily per slot group would move that RNG
-   work into the serial slot loop (measured 15-20% slower there).
+   No array with one entry per fault *site* ever exists: the sampler
+   yields sorted positions in
+   :data:`~repro.noise.monte_carlo.DRAW_CHUNK`-site chunks and
+   :func:`_segment_sites` folds each into segments while it is still
+   in L2, so the draw no longer streams eight site-length temporaries
+   through memory (the page faults on fresh transients that capped the
+   threaded speedup, and the process's peak memory near the
+   pseudo-threshold).  Each point holds its resolved segments until
+   the slot loop consumes them: int32 ``(op_of, word_of)`` pairs, a
+   packed select word and ``arity`` replacement words per segment — 40
+   bytes per segment at arity 3, where the former precomputed int64
+   ``arity x segments`` scatter indices held 56.  The slot loop builds
+   each slot group's scatter indices from the plan's wire table
+   instead.  The replacement words stay ONE eager flat draw per point,
+   made on the draw thread: drawing them lazily per slot group would
+   move that RNG work into the serial slot loop (measured 15-20%
+   slower there).
 
 Batched-engine groups and unfused execution (``policy.fuse=False``,
 which must preserve the pre-fusion per-op RNG stream) evaluate point
@@ -83,7 +92,7 @@ from repro.errors import AnalysisError, SimulationError
 from repro.noise.monte_carlo import (
     NoisyRunner,
     _as_generator,
-    _bernoulli_positions,
+    _bernoulli_position_chunks,
     resolve_engine,
 )
 from repro.obs import counter, enable_tracing, flush_trace_if_forked, trace
@@ -316,65 +325,87 @@ class _PointSites:
     On the combined fast path ``sites`` is ``(op_of, word_of, select,
     prefix)`` over the merged-class virtual op axis; on the general
     path ``classes[is_reset]`` is the same tuple over that class's op
-    axis.  ``op_of`` (an op index) and ``word_of`` (the word inside the
-    point's plane window, so window-local) are int32; the window's slot
-    loop maps them to scatter indices through the plan's tables one
-    slot group at a time.  Either way the sites are sorted by
-    (class-slot, group) cell and ``prefix`` (plain ints) slices each
-    cell's run.  ``block``/``block_bounds`` hold the point's ONE flat
+    axis.  Every entry is one *segment* — the faults of one op on one
+    word — as :func:`_segment_sites` resolved them chunk by chunk, so
+    no per-fault-site array outlives the draw; ``drawn`` counts the
+    fault positions behind them.  ``op_of`` (an op index) and
+    ``word_of`` (the word inside the point's plane window, so
+    window-local) are int32; the window's slot loop maps them to
+    scatter indices through the plan's tables one slot group at a time.
+    Either way the segments are sorted by (class-slot, group) cell and
+    ``prefix`` (plain ints) slices each cell's run.
+    ``block``/``block_bounds`` hold the point's ONE flat
     replacement-word draw, sliced per global cell in slot order —
     NumPy integer draws are stream-consistent under splitting, so this
     single draw consumes the generator exactly like the solo engine's
     per-slot-per-group blocks.
     """
 
-    __slots__ = ("sites", "classes", "block", "block_bounds")
+    __slots__ = ("sites", "classes", "block", "block_bounds", "drawn")
 
     def __init__(self):
         self.sites: tuple | None = None
         self.classes: dict[bool, tuple] = {}
         self.block: np.ndarray | None = None
         self.block_bounds: list[int] = []
+        self.drawn = 0
 
 
-def _segment_sites(virtual, n_words, trials):
-    """Collapse sorted virtual fault positions into per-word segments.
+def _segment_sites(chunks, n_words, trials):
+    """Collapse sorted virtual fault positions into per-word segments,
+    one cache-sized chunk at a time.
 
-    ``virtual >> 6`` is a flat (op, word) index; equal values form
+    ``chunk >> 6`` is a flat (op, word) index; equal values form
     contiguous segments whose trial bits OR into one packed select
     word.  The select words come from differences of a modular
     cumulative sum (bits within a segment are distinct powers of two,
     so their OR *is* their sum, and uint64 wraparound cancels in the
     difference) — same values as the solo engine's
     ``bitwise_or.reduceat``, ~3x cheaper at the threshold-regime site
-    counts this path batches.  Padding bits beyond ``trials`` are
-    masked off.  ``virtual`` is consumed: it is shifted in place into
-    the flat word index, and the bit and cumulative-sum passes share
-    one buffer.  Returns ``(op_of, word_of, select, fault_plane)``
-    with int32 ``op_of``/``word_of`` and ``fault_plane`` the packed
-    union of the faulted trials (point-local words, padding already
-    clear), so the caller never materialises a per-trial array.
+    counts this path batches.  Each chunk is consumed in place while it
+    is still in cache, so only segment-level arrays outlive it; a
+    segment straddling a chunk seam is the previous chunk's last one,
+    and its select word absorbs the new bits by the same sum.  Padding
+    bits beyond ``trials`` are masked off.  Returns ``(op_of, word_of,
+    select, fault_plane, sites)`` with int32 ``op_of``/``word_of``,
+    ``fault_plane`` the packed union of the faulted trials (point-local
+    words, padding already clear) and ``sites`` the positions drawn,
+    or ``None`` when there were none.
     """
-    bits = _POW2.take(virtual & 63)
-    flat_words = np.right_shift(virtual, 6, out=virtual)
-    boundary = np.flatnonzero(flat_words[1:] != flat_words[:-1])
-    summed = np.cumsum(bits, out=bits)
-    # A segment's last site carries both its cumulative sum and its
-    # flat word, so one index vector serves both gathers.
-    last = np.concatenate((summed[boundary], summed[-1:]))
-    affected = np.concatenate((flat_words[boundary], flat_words[-1:]))
-    select = np.empty_like(last)
-    select[0] = last[0]
-    np.subtract(last[1:], last[:-1], out=select[1:])
-    op_of = affected // n_words
-    affected -= op_of * n_words
-    op_of = op_of.astype(np.int32)
-    word_of = affected.astype(np.int32)
+    ops, words, selects = [], [], []
+    sites = 0
+    seam = -1
+    for virtual in chunks:
+        sites += len(virtual)
+        bits = _POW2.take(virtual & 63)
+        flat_words = np.right_shift(virtual, 6, out=virtual)
+        # A segment's last site carries both its cumulative sum and its
+        # flat word, so one index vector serves both gathers.
+        ends = np.append(np.flatnonzero(flat_words[1:] != flat_words[:-1]), -1)
+        last = np.cumsum(bits, out=bits)[ends]
+        select = np.empty_like(last)
+        select[0] = last[0]
+        np.subtract(last[1:], last[:-1], out=select[1:])
+        affected = flat_words[ends]
+        if affected[0] == seam:
+            selects[-1][-1] += select[0]
+            select, affected = select[1:], affected[1:]
+        if affected.size:
+            seam = affected[-1]
+            op_of, word_of = np.divmod(affected, n_words)
+            ops.append(op_of.astype(np.int32))
+            words.append(word_of.astype(np.int32))
+            selects.append(select)
+    if not selects:
+        return None
+    op_of, word_of, select = (
+        np.concatenate(parts) for parts in (ops, words, selects)
+    )
     if trials % 64:
         select[word_of == n_words - 1] &= np.uint64((1 << (trials % 64)) - 1)
     fault_plane = np.zeros(n_words, dtype=np.uint64)
     np.bitwise_or.at(fault_plane, word_of, select)
-    return op_of, word_of, select, fault_plane
+    return op_of, word_of, select, fault_plane, sites
 
 
 def _sort_by_cell(op_cell, monotone, bins, op_of, word_of, select):
@@ -394,94 +425,6 @@ def _sort_by_cell(op_cell, monotone, bins, op_of, word_of, select):
         select = select[order]
         cell = cell[order]
     return op_of, word_of, select, np.searchsorted(cell, bins)
-
-
-def _point_sites_combined(
-    rng: np.random.Generator,
-    spec: RunSpec,
-    compiled,
-    plan: _StackPlan,
-    n_words: int,
-    trials: int,
-    word_offset: int,
-) -> tuple | None:
-    """Draw and fully resolve BOTH error classes' faults for one point.
-
-    The draws stay one gap-jumping pass per class in the solo order
-    (gate class, then reset class — the RNG stream contract), but the
-    bookkeeping runs ONCE over the merged virtual axis (gate ops
-    followed by reset ops, so the concatenated positions stay sorted):
-    one segmentation, one fault plane and one per-cell prefix.
-    Returns ``(op_of, word_of, select, prefix, fault_plane)`` or
-    ``None`` when nothing was drawn; ``op_of`` indexes the merged op
-    axis and ``word_of`` the words of the point's plane window.
-    """
-    padded = n_words * 64
-    op_cell, _, bins, _, monotone, op_offset, _ = plan.combined
-    chunks = []
-    for is_reset, count in (
-        (False, compiled.n_gate_ops),
-        (True, compiled.n_reset_ops),
-    ):
-        error = (
-            spec.noise.effective_reset_error
-            if is_reset
-            else spec.noise.gate_error
-        )
-        if error <= 0.0 or count == 0 or is_reset not in plan.tables:
-            continue
-        virtual = _bernoulli_positions(rng, error, count * padded)
-        if not virtual.size:
-            continue
-        base = op_offset[is_reset] * padded
-        if base:
-            virtual += base
-        chunks.append(virtual)
-    if not chunks:
-        return None
-    virtual = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    op_of, word_of, select, fault_plane = _segment_sites(
-        virtual, n_words, trials
-    )
-    word_of += word_offset
-    return (
-        *_sort_by_cell(op_cell, monotone, bins, op_of, word_of, select),
-        fault_plane,
-    )
-
-
-def _point_class_sites(
-    rng: np.random.Generator,
-    error: float,
-    ops: int,
-    n_words: int,
-    trials: int,
-    word_offset: int,
-    plan: _StackPlan,
-    is_reset: bool,
-) -> tuple | None:
-    """Draw and fully resolve one error class's faults for one point.
-
-    The general (mixed-arity) counterpart of
-    :func:`_point_sites_combined`: one gap-jumping pass over the
-    class's ``ops x (n_words * 64)`` virtual axis (exactly the
-    single-point engine's draw) and one segmentation.  Returns
-    ``(op_of, word_of, select, prefix, fault_plane)`` over the class's
-    op axis, or ``None`` when the class draws nothing.
-    """
-    padded = n_words * 64
-    virtual = _bernoulli_positions(rng, error, ops * padded)
-    if not virtual.size:
-        return None
-    op_cell, _, bins, monotone = plan.tables[is_reset]
-    op_of, word_of, select, fault_plane = _segment_sites(
-        virtual, n_words, trials
-    )
-    word_of += word_offset
-    return (
-        *_sort_by_cell(op_cell, monotone, bins, op_of, word_of, select),
-        fault_plane,
-    )
 
 
 def _draw_width(specs, compiled, words, rngs) -> int:
@@ -511,53 +454,72 @@ def _draw_width(specs, compiled, words, rngs) -> int:
     return resolve_workers(True, len(specs))
 
 
+def _class_chunks(rng, spec, compiled, padded, classes, op_offset):
+    """One point's fault-position chunks for ``classes``, each class one
+    gap-jumping pass over its ``ops x padded`` virtual axis (exactly the
+    single-point engine's draw), shifted ``op_offset[class]`` ops along
+    a merged axis."""
+    for is_reset in classes:
+        if is_reset:
+            error, ops = spec.noise.effective_reset_error, compiled.n_reset_ops
+        else:
+            error, ops = spec.noise.gate_error, compiled.n_gate_ops
+        base = op_offset.get(is_reset, 0) * padded
+        for chunk in _bernoulli_position_chunks(rng, error, ops * padded):
+            if base:
+                chunk += base
+            yield chunk
+
+
 def _draw_point(spec, rng, n_words, word_offset, compiled, plan):
     """One point's whole draw: its fault sites per error class (solo
-    order: gate class, then reset class), the bookkeeping merged into
-    one pass on the combined fast path, then ONE flat replacement-word
-    draw covering every cell the point will inject.  Touches nothing
-    but its own generator and fresh arrays, so points may draw on
-    concurrent threads; returns the point's sites and faulted-trial
-    count.
+    order: gate class, then reset class), then ONE flat replacement-word
+    draw covering every cell the point will inject.
+
+    On the combined fast path both classes' chunks run through ONE
+    segmentation over the merged virtual axis (gate ops followed by
+    reset ops, so the chained chunks stay sorted), giving ``sites``;
+    the mixed-arity path segments each class on its own op axis into
+    ``classes``.  Either way the segments are sorted by cell and
+    ``word_of`` is shifted to the point's window.  Touches nothing but
+    its own generator and fresh arrays, so points may draw on
+    concurrent threads; returns the point's sites (``drawn`` counting
+    their fault positions) and faulted-trial count.
     """
     point = _PointSites()
     hit_plane = None
+    drawn = 0
     cell_sites = np.zeros(len(plan.arity_flat), dtype=np.int64)
     if plan.combined is not None:
-        drawn = _point_sites_combined(
-            rng, spec, compiled, plan, n_words, spec.trials, word_offset
-        )
-        if drawn is not None:
-            op_of, word_of, select, prefix, hit_plane = drawn
-            point.sites = (op_of, word_of, select, prefix.tolist())
-            cell_sites[plan.combined[3]] = np.diff(prefix)
+        op_cell, _, bins, cells, monotone, op_offset, _ = plan.combined
+        passes = [(None, (False, True), op_cell, bins, cells, monotone)]
     else:
-        for is_reset, count in (
-            (False, compiled.n_gate_ops),
-            (True, compiled.n_reset_ops),
-        ):
-            error = (
-                spec.noise.effective_reset_error
-                if is_reset
-                else spec.noise.gate_error
-            )
-            if error <= 0.0 or count == 0 or is_reset not in plan.tables:
-                continue
-            drawn = _point_class_sites(
-                rng, error, count, n_words, spec.trials, word_offset,
-                plan, is_reset,
-            )
-            if drawn is None:
-                continue
-            op_of, word_of, select, prefix, fault_plane = drawn
-            if hit_plane is None:
-                hit_plane = fault_plane
-            else:
-                hit_plane |= fault_plane
-            point.classes[is_reset] = (
-                op_of, word_of, select, prefix.tolist()
-            )
-            cell_sites[plan.cells[is_reset]] = np.diff(prefix)
+        op_offset = {}
+        passes = [
+            (is_reset, (is_reset,), op_cell, bins, plan.cells[is_reset], monotone)
+            for is_reset, (op_cell, _, bins, monotone) in plan.tables.items()
+        ]
+    for key, classes, op_cell, bins, cells, monotone in passes:
+        segmented = _segment_sites(
+            _class_chunks(rng, spec, compiled, n_words * 64, classes, op_offset),
+            n_words,
+            spec.trials,
+        )
+        if segmented is None:
+            continue
+        op_of, word_of, select, fault_plane, sites = segmented
+        drawn += sites
+        word_of += word_offset
+        *resolved, prefix = _sort_by_cell(
+            op_cell, monotone, bins, op_of, word_of, select
+        )
+        hit_plane = fault_plane if hit_plane is None else hit_plane | fault_plane
+        cell_sites[cells] = np.diff(prefix)
+        if key is None:
+            point.sites = (*resolved, prefix.tolist())
+        else:
+            point.classes[key] = (*resolved, prefix.tolist())
+    point.drawn = drawn
     if hit_plane is None:
         return point, 0
     bounds = [0]
@@ -854,7 +816,11 @@ def _run_group_stacked(
             points, faulted = _draw_phase(
                 specs, compiled, plan, words, offsets, rngs, width
             )
-            span.set(threads=width, segments=_segment_count(points))
+            span.set(
+                threads=width,
+                sites=sum(point.drawn for point in points),
+                segments=_segment_count(points),
+            )
         results = []
         with trace("executor.group.apply", windows=len(windows)):
             for window in windows:

@@ -241,3 +241,8 @@ class TestDrawSpan:
         segments = threaded["attrs"]["segments"]
         assert isinstance(segments, int) and segments > 0
         assert serial["attrs"]["segments"] == segments
+        # Every segment holds at least one drawn fault position, and a
+        # dense point's word holds several.
+        sites = threaded["attrs"]["sites"]
+        assert isinstance(sites, int) and sites > segments
+        assert serial["attrs"]["sites"] == sites
