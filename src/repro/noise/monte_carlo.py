@@ -80,12 +80,13 @@ DENSE_PROBABILITY = 0.25
 #: so no array with one entry per fault site is ever held, only the
 #: per-segment results.  Measured on a 2-vCPU Xeon VM (2 MiB L2 per
 #: core), median of 11 interleaved draws per size: one 1M-trial point of
-#: the 1-cycle recovery circuit at g = 0.04 (2.2M sites) took 64-67 ms
-#: at 16k-64k sites per chunk, against 140 ms for the whole-array draw
-#: this replaced.  Dense draws chunk trials, not sites, so they pay for
-#: small chunks: a 150k-trial point at p = 0.3 took 153, 107, 72, 68
-#: and 76 ms at 4k, 8k, 32k, 128k and 512k in one run.  At 32k a
-#: chunk's few 8-byte temporaries (~1.3 MB) stay inside L2.
+#: the 1-cycle recovery circuit at g = 0.04 (2.2M sites) took 83, 77,
+#: 75, 70, 73, 88 and 87 ms at 4k, 8k, 16k, 32k, 64k, 128k and 512k
+#: sites per chunk, against 126 ms for the whole-array draw this
+#: replaced.  Dense draws chunk trials, not sites, so they pay more for
+#: small chunks: a 150k-trial point at p = 0.3 took 106, 84, 68, 61,
+#: 57, 67 and 75 ms.  At 32k a chunk's few 8-byte temporaries
+#: (~1.3 MB) stay inside L2.
 DRAW_CHUNK = 1 << 15
 
 
