@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -51,7 +49,7 @@ from repro.errors import AnalysisError, JobError
 from repro.harness.stats import RateEstimate
 from repro.jobs.caching import CachingExecutor
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
-from repro.jobs.store import ResultStore, point_key
+from repro.jobs.store import ResultStore, point_key, write_json_atomic
 from repro.obs import (
     counter,
     enable_tracing,
@@ -80,23 +78,6 @@ _SHARDS_RUN = counter("jobs.shards.run")
 _SHARD_SECONDS = histogram("jobs.shard_seconds")
 _SHARDS_TOTAL = gauge("jobs.shards.total")
 _SHARDS_DONE = gauge("jobs.shards.done")
-
-
-def _write_atomic(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.stem[:12]}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -259,7 +240,7 @@ class SweepJob:
                 for shard in shards
             ],
         }
-        _write_atomic(manifest_path, manifest)
+        write_json_atomic(manifest_path, manifest)
         return cls(
             job_dir, specs, shards, policy, cls._store(job_dir, store), job_id
         )
@@ -433,7 +414,7 @@ class SweepJob:
             # absent from checkpoints written by older runs — readers
             # must treat it as optional.
             payload["stats"] = stats
-        _write_atomic(self._shard_path(shard), payload)
+        write_json_atomic(self._shard_path(shard), payload)
 
     # ------------------------------------------------------------------
     # Execution

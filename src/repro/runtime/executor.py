@@ -18,20 +18,20 @@ spec, in spec order.  The execution plan has three levels:
    the window's words instead of once per point, and the window stays
    resident in cache across the slot loop.  A point larger than the
    budget is a window of its own; no point is ever split.  Fault
-   handling is amortised over the whole group: each point draws its
-   whole per-error-class fault pass ONCE and segments it as it comes,
-   one cache-sized chunk of positions at a time (slot membership,
-   group, instance row, and destination word of every fault segment
-   come from precomputed per-class tables), the slot loop merely
-   slices those tables, and a window's sites scatter in one
-   ``randomize_stacked`` call per slot group.  Fault *randomness*
-   stays strictly per point — every point's gap-jumping pass and
-   replacement words come from its own seeded generator in solo order
-   — so, plane operations being wordwise, every point's words are
-   **bit-identical** to running that spec alone through
-   :class:`~repro.noise.monte_carlo.NoisyRunner`, whatever window it
-   lands in.  Batching is purely an execution detail, never a
-   statistical one.
+   handling is amortised over each window: each point draws its whole
+   per-error-class fault pass ONCE, just ahead of its window's slot
+   loop, and segments it as it comes, one cache-sized chunk of
+   positions at a time (slot membership, group, instance row, and
+   destination word of every fault segment come from precomputed
+   per-class tables), the slot loop merely slices those tables, and a
+   window's sites scatter in one ``randomize_stacked`` call per slot
+   group.  Fault *randomness* stays strictly per point — every point's
+   gap-jumping pass and replacement words come from its own seeded
+   generator in solo order — so, plane operations being wordwise,
+   every point's words are **bit-identical** to running that spec
+   alone through :class:`~repro.noise.monte_carlo.NoisyRunner`,
+   whatever window it lands in.  Batching is purely an execution
+   detail, never a statistical one.
 
 3. **Parallelism: processes across groups, threads across draws —
    never both.**  With ``policy.parallel`` >= 2 workers and more than
@@ -39,18 +39,25 @@ spec, in spec order.  The execution plan has three levels:
    process pool (specs must then be picklable); the job runner fans
    shards out the same way.  Points within a group never split across
    processes — they are already batched into plane windows.  Inside a
-   group, the fault-draw phase is the one per-point stage, and in the
-   dense-fault regime near the pseudo-threshold it dominates the wall
-   time; each point draws from its own generator, so the per-point
-   draws run on a short-lived thread pool (one per CPU, at most one
-   per point) and stay bit-identical by construction.  The pool is
-   opened per group and joined before the slot loop, so no thread
-   outlives the draw (a later fork never copies a live pool).  The
-   draws stay serial inside a multiprocessing child (one level of
-   parallelism: the processes already occupy the CPUs), for one-point
-   groups, for points sharing one generator object, and below
-   :data:`THREADED_DRAW_MIN_SITES` expected fault sites, where starting
-   a pool (~0.6 ms) costs more than it saves.
+   group, the fault draw is the one per-point stage, and in the
+   dense-fault regime near the pseudo-threshold it rivals the slot
+   loop; each point draws from its own generator, so the per-point
+   draws run on a thread pool (one per CPU, at most one per point) and
+   stay bit-identical by construction.  One loop serves every group,
+   one window at a time: it starts window k+1's draws on the pool,
+   resolves window k's, then runs window k's slot loop and decode while
+   window k+1 draws, and releases window k's sites and planes.  A
+   group therefore holds at most two windows of fault sites, never all
+   of them.  The pool is opened once per group and shut down with the
+   group (pending draws cancelled on an error), so no thread outlives
+   it (a later fork never copies a live pool).  The draws stay serial
+   inside a multiprocessing child (one level of parallelism: the
+   processes already occupy the CPUs), for one-point groups, for
+   points sharing one generator object, and below
+   :data:`THREADED_DRAW_MIN_SITES` expected fault sites, where a pool
+   costs more than it saves; a serial window draws inline, in point
+   order, just before its own slot loop, so a serial group holds one
+   window of sites.
 
    No array with one entry per fault *site* ever exists: the sampler
    yields sorted positions in
@@ -60,15 +67,15 @@ spec, in spec order.  The execution plan has three levels:
    through memory (the page faults on fresh transients that capped the
    threaded speedup, and the process's peak memory near the
    pseudo-threshold).  Each point holds its resolved segments until
-   the slot loop consumes them: int32 ``(op_of, word_of)`` pairs, a
-   packed select word and ``arity`` replacement words per segment — 40
-   bytes per segment at arity 3, where the former precomputed int64
-   ``arity x segments`` scatter indices held 56.  The slot loop builds
-   each slot group's scatter indices from the plan's wire table
-   instead.  The replacement words stay ONE eager flat draw per point,
-   made on the draw thread: drawing them lazily per slot group would
-   move that RNG work into the serial slot loop (measured 15-20%
-   slower there).
+   its window's slot loop consumes them: int32 ``(op_of, word_of)``
+   pairs, a packed select word and ``arity`` replacement words per
+   segment — 40 bytes per segment at arity 3, where the former
+   precomputed int64 ``arity x segments`` scatter indices held 56.  The
+   slot loop builds each slot group's scatter indices from the plan's
+   wire table instead.  The replacement words stay ONE eager flat draw
+   per point, made on the draw thread: drawing them lazily per slot
+   group would move that RNG work into the serial slot loop (measured
+   15-20% slower there).
 
 Batched-engine groups and unfused execution (``policy.fuse=False``,
 which must preserve the pre-fusion per-op RNG stream) evaluate point
@@ -95,7 +102,13 @@ from repro.noise.monte_carlo import (
     _bernoulli_position_chunks,
     resolve_engine,
 )
-from repro.obs import counter, enable_tracing, flush_trace_if_forked, trace
+from repro.obs import (
+    counter,
+    enable_tracing,
+    flush_trace_if_forked,
+    stopwatch,
+    trace,
+)
 from repro.runtime.spec import (
     ExecutionPolicy,
     PointResult,
@@ -118,14 +131,18 @@ _LEGACY_POINTS = counter("executor.legacy_points")
 _POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 #: Expected fault sites per group (the sum of ``ops * padded trials *
-#: p`` over its points and error classes) below which the draw phase
-#: stays serial.  Starting and joining a thread pool costs ~0.6-1 ms
-#: and every extra point adds a task hand-off, so the serial/threaded
-#: crossover rises with the group's width: measured (median of 31
-#: alternating draws of the 1-cycle recovery circuit, 2-vCPU Xeon VM)
-#: near 30k sites for 2 points, 60k for 4 and 90k for 10.  The cutoff
-#: sits above all three, so a threaded draw always wins.
-THREADED_DRAW_MIN_SITES = 100_000
+#: p`` over its points and error classes) below which the draws stay
+#: serial.  A threaded group pays a pool and per-point hand-offs and
+#: wins mainly by drawing window k+1 while window k's slot loop runs.
+#: Measured as whole-group time (median of 31 alternating serial and
+#: threaded runs of the 27-wire 1-cycle cycle circuit; groups of 2, 4
+#: and 10 points of 20k or 150k trials, one to five windows; two
+#: rounds; 2-vCPU Xeon VM): at 100k-450k sites threaded ran at
+#: 0.89-1.04x the serial speed (once 1.21x).  From 600k the five-window
+#: 10 x 150k group won at 1.05-1.25x, and 1.50x at 2.4M, while groups
+#: of one or two windows stayed at 0.94-1.08x.  The cutoff sits at that
+#: crossover.
+THREADED_DRAW_MIN_SITES = 600_000
 
 #: Plane bytes per slot-loop window.  A group's consecutive whole points
 #: are packed into windows of at most this many bytes of planes, and the
@@ -531,7 +548,7 @@ def _draw_point(spec, rng, n_words, word_offset, compiled, plan):
 
 
 def _segment_count(points) -> int:
-    """Fault-site segments the draw phase resolved, over all points."""
+    """Fault-site segments resolved for ``points``."""
     return sum(
         len(sites[2])
         for point in points
@@ -540,20 +557,26 @@ def _segment_count(points) -> int:
     )
 
 
-def _draw_phase(specs, compiled, plan, words, offsets, rngs, width):
-    """Fault-draw phase — every point's :func:`_draw_point`, on
-    ``width`` threads (0 = serial, see :func:`_draw_width`).  Returns
-    the resolved per-point sites and the per-point faulted-trial
-    counts.
+def _timed_draw(spec, rng, n_words, word_offset, compiled, plan):
+    """:func:`_draw_point` plus its own wall time in nanoseconds (the
+    draw span's ``busy_ns``, summed where the draw ran)."""
+    watch = stopwatch()
+    point, faulted = _draw_point(spec, rng, n_words, word_offset, compiled, plan)
+    return point, faulted, watch.elapsed_ns
+
+
+def _start_draws(pool, draw, arguments):
+    """Start one window's point draws; returns one zero-argument
+    resolver per point, in point order.
+
+    With a thread pool every draw is submitted now and its resolver is
+    the future's ``result``; without one the resolver IS the draw,
+    deferred until the window is resolved, so serial draws run inline
+    in point order and hold nothing ahead of their window.
     """
-    draw = partial(_draw_point, compiled=compiled, plan=plan)
-    arguments = (specs, rngs, words, offsets)
-    if width:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            drawn = list(pool.map(draw, *arguments))
-    else:
-        drawn = list(map(draw, *arguments))
-    return [point for point, _ in drawn], [count for _, count in drawn]
+    if pool is None:
+        return [partial(draw, *args) for args in arguments]
+    return [pool.submit(draw, *args).result for args in arguments]
 
 
 def _points_with(plan, points) -> dict[bool, list[int]]:
@@ -769,9 +792,10 @@ def _run_group_stacked(
 
     :func:`_pack_windows` packs consecutive whole points into plane
     windows; point ``p`` occupies the words ``[offset_p, offset_p +
-    words_p)`` of every wire plane of its window.  One draw phase
-    resolves every point's fault sites against its window-local
-    offset.  Then each window gets its own broadcast state, slot loop
+    words_p)`` of every wire plane of its window.  Each window starts
+    the next window's draws (on the group's pool; serial draws wait to
+    run inline), resolves its own points' fault sites against their
+    window-local offsets, then gets its own broadcast state, slot loop
     and decode: the shared program is applied once per fused slot over
     the window, and fault injection is per point (each point's noise
     level and generator are its own) but batched per slot, all the
@@ -781,10 +805,13 @@ def _run_group_stacked(
     per-slot per-group replacement-word blocks — matches a solo
     ``NoisyRunner`` run draw for draw, and plane operations are
     wordwise, so each point's words are **bit-identical** to running
-    the spec alone.  The group span has one ``draw`` child and one
-    ``apply`` child (``windows=<n>``) that wraps the window loop, with
-    each window's ``decode`` span nested inside it; tracing reads only
-    the clock, never the generators, so an enabled trace cannot move a
+    the spec alone.  The group span (``windows=<n>``) has two children
+    per window: a ``draw`` span covering the main thread drawing that
+    window or waiting for its draws (``threads``, ``sites``,
+    ``segments``, and ``busy_ns``, the draws' own time wherever they
+    ran), then an ``apply`` span (``words=<window words>``) with the
+    window's ``decode`` span nested inside it.  Tracing reads only the
+    clock, never the generators, so an enabled trace cannot move a
     digest.
     """
     first = specs[0]
@@ -808,33 +835,53 @@ def _run_group_stacked(
         trials=sum(spec.trials for spec in specs),
         words=sum(words),
         slots=len(compiled.slots),
+        windows=len(windows),
         circuit=first.circuit.name or f"{first.circuit.n_wires}-wire",
     ):
         rngs = [_as_generator(spec.seed) for spec in specs]
         width = _draw_width(specs, compiled, words, rngs)
-        with trace("executor.group.draw") as span:
-            points, faulted = _draw_phase(
-                specs, compiled, plan, words, offsets, rngs, width
-            )
-            span.set(
-                threads=width,
-                sites=sum(point.drawn for point in points),
-                segments=_segment_count(points),
-            )
+        draw = partial(_timed_draw, compiled=compiled, plan=plan)
+        arguments = list(zip(specs, rngs, words, offsets))
+        pool = ThreadPoolExecutor(max_workers=width) if width else None
         results = []
-        with trace("executor.group.apply", windows=len(windows)):
-            for window in windows:
-                states = backend.broadcast(
-                    first.input_bits, sum(words[window]) * 64
+        try:
+            pending = _start_draws(pool, draw, arguments[windows[0]])
+            for k, window in enumerate(windows):
+                # Window k+1 starts before window k is waited for, so a
+                # pool thread left idle by window k's draws takes it up.
+                ahead = (
+                    _start_draws(pool, draw, arguments[windows[k + 1]])
+                    if k + 1 < len(windows)
+                    else []
                 )
-                _inject_phase(
-                    backend, prepared, states, compiled, plan, points[window]
-                )
-                with trace("executor.group.decode"):
-                    results += _decode_phase(
-                        specs[window], states, words[window],
-                        offsets[window], faulted[window],
+                with trace("executor.group.draw", threads=width) as span:
+                    points, faulted, busy = zip(
+                        *(resolve() for resolve in pending)
                     )
+                    span.set(
+                        sites=sum(point.drawn for point in points),
+                        segments=_segment_count(points),
+                        busy_ns=sum(busy),
+                    )
+                pending = ahead
+                window_words = sum(words[window])
+                with trace("executor.group.apply", words=window_words):
+                    states = backend.broadcast(first.input_bits, window_words * 64)
+                    _inject_phase(backend, prepared, states, compiled, plan, points)
+                    with trace("executor.group.decode"):
+                        results += _decode_phase(
+                            specs[window], states, words[window],
+                            offsets[window], faulted,
+                        )
+                # Window k's sites and planes go before window k+1 is
+                # resolved, so at most two windows' sites are ever held.
+                del points, states
+        finally:
+            if pool is not None:
+                # No draw thread outlives the group: a later fork never
+                # copies a live pool, and after an error the draws not
+                # yet started are dropped.
+                pool.shutdown(cancel_futures=True)
     _STACKED_POINTS.inc(len(specs))
     return results
 

@@ -41,6 +41,7 @@ import hashlib
 import json
 from collections.abc import Callable
 from importlib import import_module
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -113,6 +114,9 @@ _CIRCUIT_WIRE_CACHE: dict[tuple, dict] = {}
 #: ``_CIRCUIT_WIRE_CACHE`` (which holds the reference, so the id can
 #: never be reused while the entry exists).
 _CIRCUIT_WIRE_DIGESTS: dict[int, str] = {}
+#: ``json.dumps`` text of the memoised fragments, filled on first use by
+#: :func:`json_text`; keyed and cleared like the digests.
+_CIRCUIT_WIRE_TEXTS: dict[int, str] = {}
 _CIRCUIT_WIRE_CACHE_MAX = 128
 
 
@@ -130,6 +134,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
     if len(_CIRCUIT_WIRE_CACHE) >= _CIRCUIT_WIRE_CACHE_MAX:
         _CIRCUIT_WIRE_CACHE.clear()
         _CIRCUIT_WIRE_DIGESTS.clear()
+        _CIRCUIT_WIRE_TEXTS.clear()
     _CIRCUIT_WIRE_CACHE[key] = payload
     _CIRCUIT_WIRE_DIGESTS[id(payload)] = hashlib.sha256(
         canonical_json(payload).encode()
@@ -168,6 +173,40 @@ def compress_for_hashing(payload):
     if isinstance(payload, list):
         return [compress_for_hashing(item) for item in payload]
     return payload
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload)``, reusing each memoised circuit fragment's
+    text.
+
+    A spec's wire form embeds its circuit twice (the spec and its decode
+    observable), so rebuilding the text around the two shared fragments
+    costs a fraction of ``json.dumps`` or of parsing it back; the result
+    store verifies an entry's spec by comparing bytes with this text.
+    Wire forms have string keys only, and for those the text is
+    byte-identical to ``json.dumps`` (default separators, ASCII
+    escapes).
+    """
+    fragment = id(payload)
+    if fragment in _CIRCUIT_WIRE_DIGESTS:
+        text = _CIRCUIT_WIRE_TEXTS.get(fragment)
+        if text is None:
+            text = _CIRCUIT_WIRE_TEXTS[fragment] = json.dumps(payload)
+        return text
+    kind = type(payload)
+    if kind is dict:
+        items = [
+            f"{_encode_str(key)}: {json_text(value)}"
+            for key, value in payload.items()
+        ]
+        return "{" + ", ".join(items) + "}"
+    if kind is list:
+        return "[" + ", ".join([json_text(item) for item in payload]) + "]"
+    if kind is str:
+        return _encode_str(payload)
+    if kind is int:
+        return int.__repr__(payload)
+    return json.dumps(payload)
 
 
 def _circuit_to_json_uncached(circuit: Circuit) -> dict:

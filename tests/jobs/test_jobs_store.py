@@ -136,6 +136,32 @@ class TestStaleDetection:
         with pytest.raises(JobError, match="stale"):
             store.get(spec, policy)
 
+    def test_fast_read_matches_a_whole_parse(self, tmp_path, policy):
+        # An entry as put wrote it is read by parsing only its tail;
+        # the result must be the whole parse, spec included.
+        from repro.jobs.store import _load_entry
+        from repro.runtime.serialization import spec_to_json
+
+        store, spec, path = self._stored(tmp_path, policy)
+        text = path.read_text()
+        spec_json = spec_to_json(spec)
+        entry = _load_entry(text, path.stem, spec_json)
+        assert entry["spec"] is spec_json, "the tail-only read was not taken"
+        assert entry == json.loads(text)
+        assert store.get(spec, policy) is not None
+
+    def test_trailing_duplicate_spec_raises(self, tmp_path, policy):
+        # A second "spec" field after the result wins a whole parse, so
+        # a matching head must not be enough to serve the entry.
+        store, spec, path = self._stored(tmp_path, policy)
+        entry = json.loads(path.read_text())
+        forged = dict(entry["spec"], trials=entry["spec"]["trials"] + 1)
+        path.write_text(
+            json.dumps(entry)[:-1] + ', "spec": ' + json.dumps(forged) + "}"
+        )
+        with pytest.raises(JobError, match="spec"):
+            store.get(spec, policy)
+
     def test_swapped_spec_raises(self, tmp_path, policy):
         # An entry whose embedded spec differs from the request means
         # the file was moved or the key scheme broke — never serve it.
@@ -190,3 +216,44 @@ class TestCachingExecutor:
         (spec,) = _specs(1)
         caching = CachingExecutor(ResultStore(tmp_path), policy=policy)
         assert caching.run_one(spec) == Executor(policy).run([spec])[0]
+
+
+class TestJsonWrites:
+    def test_files_hold_exactly_json_dumps_of_their_payload(
+        self, tmp_path, policy, monkeypatch
+    ):
+        # Manifest, shard checkpoints and store entries all go through
+        # one atomic writer; each file's bytes must be json.dumps of
+        # its payload, which is also what json.dump wrote before.
+        import copy
+        import io
+
+        import repro.jobs.runner as runner_module
+        import repro.jobs.store as store_module
+        from repro.jobs import SweepJob
+
+        written = {}
+        write = store_module.write_json_atomic
+
+        def recording(path, payload):
+            write(path, payload)
+            written[path] = copy.deepcopy(payload)
+
+        monkeypatch.setattr(store_module, "write_json_atomic", recording)
+        monkeypatch.setattr(runner_module, "write_json_atomic", recording)
+        specs = _specs(4)
+        job_dir = tmp_path / "job"
+        job = SweepJob.submit(job_dir, specs, policy, shard_size=2)
+        job.run()
+        on_disk = set(job_dir.rglob("*.json"))
+        assert on_disk == set(written)
+        assert not list(job_dir.rglob("*.tmp"))
+        kinds = {path.parent.name for path in written}
+        assert "shards" in kinds and "job" in kinds and len(kinds) > 2
+        keys = {point_key(spec, policy) for spec in specs}
+        assert keys <= {path.stem for path in written}
+        for path, payload in written.items():
+            assert path.read_bytes() == json.dumps(payload).encode()
+            legacy = io.StringIO()
+            json.dump(payload, legacy)
+            assert path.read_text() == legacy.getvalue()

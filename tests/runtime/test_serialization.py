@@ -26,6 +26,7 @@ from repro.runtime.executor import _group_key
 from repro.runtime.serialization import (
     circuit_from_json,
     circuit_to_json,
+    json_text,
     noise_from_json,
     noise_to_json,
 )
@@ -122,6 +123,31 @@ class TestSpecRoundTrip:
     def test_format_version_stamped(self):
         (spec,) = cycle_error_specs(((2e-3, 11),), 100, cycles=1)
         assert spec.to_json()["format"] == SPEC_FORMAT_VERSION
+
+
+class TestJsonText:
+    def test_equals_json_dumps_on_wire_forms(self):
+        # The result store compares entry bytes against json_text, so
+        # it must be byte-identical to json.dumps: memoised circuit
+        # fragments, non-ASCII gate names, None seeds, nested lists.
+        specs = [
+            *cycle_error_specs(((2e-3, 11), (0.3, 12)), 100, cycles=3),
+            RunSpec(
+                circuit=_maj_circuit(),
+                input_bits=(1, 0, 1),
+                observable=PredicateObservable(no_failures),
+                noise=NoiseModel(gate_error=1e-3, reset_error=0.25),
+                trials=64,
+                seed=None,
+            ),
+        ]
+        for spec in specs:
+            wire = spec_to_json(spec)
+            assert json_text(wire) == json.dumps(wire)
+            assert json_text(wire) == json.dumps(wire)  # memoised text
+        assert json_text({"a": [1.5, True, None, "\u00b9"]}) == json.dumps(
+            {"a": [1.5, True, None, "\u00b9"]}
+        )
 
 
 class TestRefusals:

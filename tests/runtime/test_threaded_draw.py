@@ -147,7 +147,7 @@ def sweep_dense_like_group(points: int = 4) -> list[RunSpec]:
                 repetition_failure_predicate((0, 1, 2), 1)
             ),
             noise=NoiseModel(gate_error=0.1),
-            trials=100_000,
+            trials=1_000_000,
             seed=index,
         )
         for index in range(points)
@@ -215,34 +215,53 @@ class TestDrawSpan:
         yield
         disable_tracing()
 
-    def draw_span(self, tmp_path, monkeypatch, width):
+    def draw_spans(self, tmp_path, monkeypatch, width):
+        """The group's draw spans, one per window: the budget is shrunk
+        to one word, so each of the three points is a window."""
         disable_tracing()
         enable_tracing(str(tmp_path / "trace.json"))
         specs = group_specs("combined", 3)
+        monkeypatch.setattr(
+            executor_module, "WINDOW_BYTES", 8 * specs[0].circuit.n_wires
+        )
         run_with_width(monkeypatch, specs, width)
         document = json.loads(Path(flush_trace()).read_text())
 
-        def find(spans):
+        def walk(spans):
             for span in spans:
-                if span["name"] == "executor.group.draw":
-                    return span
-                found = find(span["children"])
-                if found is not None:
-                    return found
-            return None
+                yield span
+                yield from walk(span["children"])
 
-        return find(document["spans"])
+        (group,) = [
+            span for span in walk(document["spans"])
+            if span["name"] == "executor.group"
+        ]
+        assert group["attrs"]["windows"] == len(specs)
+        spans = [
+            child for child in group["children"]
+            if child["name"] == "executor.group.draw"
+        ]
+        assert len(spans) == len(specs)
+        return spans
 
     def test_draw_span_records_width_and_segments(self, tmp_path, monkeypatch):
-        threaded = self.draw_span(tmp_path, monkeypatch, 3)
-        serial = self.draw_span(tmp_path, monkeypatch, 0)
-        assert threaded["attrs"]["threads"] == 3
-        assert serial["attrs"]["threads"] == 0
-        segments = threaded["attrs"]["segments"]
-        assert isinstance(segments, int) and segments > 0
-        assert serial["attrs"]["segments"] == segments
+        threaded = self.draw_spans(tmp_path, monkeypatch, 3)
+        serial = self.draw_spans(tmp_path, monkeypatch, 0)
+        assert [span["attrs"]["threads"] for span in threaded] == [3] * 3
+        assert [span["attrs"]["threads"] for span in serial] == [0] * 3
+
+        def total(spans, name):
+            values = [span["attrs"][name] for span in spans]
+            assert all(isinstance(value, int) for value in values)
+            return sum(values)
+
+        segments = total(threaded, "segments")
+        assert segments > 0
+        assert total(serial, "segments") == segments
         # Every segment holds at least one drawn fault position, and a
         # dense point's word holds several.
-        sites = threaded["attrs"]["sites"]
-        assert isinstance(sites, int) and sites > segments
-        assert serial["attrs"]["sites"] == sites
+        sites = total(threaded, "sites")
+        assert sites > segments
+        assert total(serial, "sites") == sites
+        # Each window's draws took time wherever they ran.
+        assert all(span["attrs"]["busy_ns"] > 0 for span in threaded + serial)

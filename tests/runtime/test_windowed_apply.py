@@ -9,8 +9,9 @@ edges, one point is larger than the budget, and points whose observable
 has no stacked decode share windows with points whose observable has
 one.  Every ``PointResult`` must equal the solo ``_run_point_legacy``
 result on both scatter paths, with threaded and serial draws.  The span
-test pins one apply span per group, carrying the window count, with
-every window's decode span nested inside it.
+test pins the per-window layout: the group span carries the window
+count, and each window has one draw span, then one apply span carrying
+its word count, with the window's decode span nested inside it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.bitplane import count_trial_ones
+from repro.core.bitplane import count_trial_ones, words_for
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.harness.threshold_finder import cycle_error_specs
@@ -182,7 +183,7 @@ class TestApplySpan:
         yield
         disable_tracing()
 
-    def test_one_apply_span_per_group_wraps_window_decodes(
+    def test_one_draw_and_apply_span_per_window_wraps_its_decode(
         self, tmp_path, monkeypatch
     ):
         enable_tracing(str(tmp_path / "trace.json"))
@@ -203,10 +204,18 @@ class TestApplySpan:
             if span["name"] == "executor.group"
         ]
         assert len(groups) == 2
+        window_words = [
+            sum(words_for(trials) for trials, _, _ in POINTS[window])
+            for window in WINDOWS
+        ]
         for group in groups:
+            assert group["attrs"]["windows"] == len(WINDOWS)
             names = [child["name"] for child in group["children"]]
-            assert names == ["executor.group.draw", "executor.group.apply"]
-            apply = group["children"][1]
-            assert apply["attrs"]["windows"] == len(WINDOWS)
-            decodes = [child["name"] for child in apply["children"]]
-            assert decodes == ["executor.group.decode"] * len(WINDOWS)
+            assert names == (
+                ["executor.group.draw", "executor.group.apply"] * len(WINDOWS)
+            )
+            applies = group["children"][1::2]
+            assert [apply["attrs"]["words"] for apply in applies] == window_words
+            for apply in applies:
+                decodes = [child["name"] for child in apply["children"]]
+                assert decodes == ["executor.group.decode"]
